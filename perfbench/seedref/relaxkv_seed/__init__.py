@@ -1,0 +1,78 @@
+"""Structured KV-memory engine and chunked autoregressive rollout simulator."""
+
+from .attention import (
+    CostReport,
+    KVCache,
+    ToyAttentionStack,
+    append_and_evict,
+    attend_chunk,
+    count_step_cost,
+)
+from .config import MemoryConfig, ModelParams, Policy, RolloutConfig, RotaryParams
+from .memory import (
+    Frame,
+    Partition,
+    ScoredCandidate,
+    StructuredMemory,
+    build_memory,
+    frame_prototype,
+    group_prototype,
+    partition,
+    restrict_candidates,
+    sample_pool,
+    score_candidate,
+    select_history,
+    select_memory,
+)
+from .metrics import balance, clip_features, cost_ratio, drift, repetition
+from .rollout import (
+    RolloutTrace,
+    StepRecord,
+    audit_history_compliance,
+    run_rollout,
+    run_sweep,
+)
+from .rope import PositionPlan, apply_rotary, relaxed_positions, window_positions
+
+__all__ = [
+    "CostReport",
+    "Frame",
+    "KVCache",
+    "MemoryConfig",
+    "ModelParams",
+    "Partition",
+    "Policy",
+    "PositionPlan",
+    "RolloutConfig",
+    "RolloutTrace",
+    "RotaryParams",
+    "ScoredCandidate",
+    "StepRecord",
+    "StructuredMemory",
+    "ToyAttentionStack",
+    "append_and_evict",
+    "apply_rotary",
+    "attend_chunk",
+    "audit_history_compliance",
+    "balance",
+    "build_memory",
+    "clip_features",
+    "cost_ratio",
+    "count_step_cost",
+    "drift",
+    "frame_prototype",
+    "group_prototype",
+    "partition",
+    "relaxed_positions",
+    "repetition",
+    "restrict_candidates",
+    "run_rollout",
+    "run_sweep",
+    "sample_pool",
+    "score_candidate",
+    "select_history",
+    "select_memory",
+    "window_positions",
+]
+
+__version__ = "0.1.0"

@@ -1,0 +1,121 @@
+"""Run configuration types: memory policy, toy model dimensions, rollout settings."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from enum import Enum
+
+from .errors import ConfigError
+
+
+class Policy(str, Enum):
+    DENSE_WINDOW = "dense_window"
+    ATTENTION_SINK = "attention_sink"
+    RELAXED = "relaxed"
+    NONE = "none"
+    SINK_ONLY = "sink_only"
+    TAIL_ONLY = "tail_only"
+    HISTORY_ONLY = "history_only"
+    FULL = "full"
+
+
+@dataclass(frozen=True)
+class MemoryConfig:
+    """Memory policy hyperparameters.
+
+    ``window_size`` only matters for the dense sliding-window baseline; its
+    default (21 = 18 retained frames + one 3-frame chunk) is the canonical
+    baseline used for cost comparisons.
+    """
+
+    n_sink: int = 2
+    n_history: int = 1
+    n_tail: int = 1
+    pool_size: int = 4
+    lam: float = 2.0
+    chunk_size: int = 3
+    window_size: int = 21
+    policy: Policy = Policy.RELAXED
+    # When set, history selection ignores scoring and takes the candidate at
+    # this fixed 0-based position in the candidate region (clamped to the most
+    # recent candidate when fewer exist).
+    fixed_history_position: int | None = None
+    # When True, candidate frames that can no longer enter the restricted
+    # half of the candidate region are evicted from the cache.
+    bounded_cache: bool = False
+    # None = score with keys mean-pooled over every layer; an int designates a
+    # single scoring layer.
+    scoring_layer: int | None = None
+
+    def __post_init__(self):
+        if self.n_sink < 0 or self.n_history < 0 or self.n_tail < 0:
+            raise ConfigError("sink/history/tail counts must be non-negative")
+        if self.pool_size < 1:
+            raise ConfigError("pool_size must be >= 1")
+        if self.pool_size < self.n_history:
+            raise ConfigError("pool_size must be >= n_history")
+        if self.lam < 0:
+            raise ConfigError("lambda must be >= 0")
+        if self.chunk_size < 1:
+            raise ConfigError("chunk_size must be >= 1")
+        if self.window_size < self.chunk_size:
+            raise ConfigError("window_size must be >= chunk_size")
+
+    @property
+    def memory_budget(self) -> int:
+        return self.n_sink + self.n_history + self.n_tail
+
+
+@dataclass(frozen=True)
+class RotaryParams:
+    base_theta: float = 10000.0
+    dim: int = 16
+
+    def __post_init__(self):
+        if self.dim % 2 != 0 or self.dim < 2:
+            raise ConfigError("rotary dim must be a positive even integer")
+        if self.base_theta <= 1:
+            raise ConfigError("rotary base must be > 1")
+
+
+@dataclass(frozen=True)
+class ModelParams:
+    """Dimensions of the deterministic toy attention stack."""
+
+    layers: int = 2
+    heads: int = 4
+    head_dim: int = 16
+    frame_tokens: int = 16
+    rotary_base: float = 10000.0
+
+    def __post_init__(self):
+        for name in ("layers", "heads", "head_dim", "frame_tokens"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        if self.head_dim % 2 != 0:
+            raise ConfigError("head_dim must be even for rotary rotation")
+
+    @property
+    def d(self) -> int:
+        return self.heads * self.head_dim
+
+    @property
+    def rotary(self) -> RotaryParams:
+        return RotaryParams(base_theta=self.rotary_base, dim=self.head_dim)
+
+
+@dataclass(frozen=True)
+class RolloutConfig:
+    memory: MemoryConfig = field(default_factory=MemoryConfig)
+    model: ModelParams = field(default_factory=ModelParams)
+    total_frames: int = 60
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.total_frames < 1:
+            raise ConfigError("total_frames must be >= 1")
+        if self.total_frames % self.memory.chunk_size != 0:
+            raise ConfigError(
+                "total_frames must be a multiple of chunk_size "
+                f"({self.total_frames} % {self.memory.chunk_size} != 0)"
+            )

@@ -1,0 +1,220 @@
+"""Structured KV-memory selection.
+
+Splits the generated history into sink / candidate / tail regions, scores
+mid-range candidates by alignment with the sink prototype minus weighted
+alignment with the tail prototype, and picks the top scorers as history.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .config import MemoryConfig
+from .errors import (
+    ContractViolationError,
+    DegeneratePrototypeError,
+    EmptyGroupError,
+)
+
+_ZERO_NORM = 1e-12
+
+
+@dataclass(frozen=True)
+class Frame:
+    """One generated frame: per-layer key/value blocks of shape (layers, F, d)."""
+
+    id: int
+    keys: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        if self.id < 0:
+            raise ContractViolationError("frame id must be non-negative")
+        if self.keys.ndim != 3 or self.keys.shape != self.values.shape:
+            raise ContractViolationError(
+                "keys/values must be (layers, tokens, dim) arrays of equal shape"
+            )
+        if self.keys.shape[1] < 1:
+            raise ContractViolationError("frame must contain at least one token")
+        if not (np.isfinite(self.keys).all() and np.isfinite(self.values).all()):
+            raise ContractViolationError("frame contains non-finite entries")
+
+    @property
+    def tokens(self) -> int:
+        return self.keys.shape[1]
+
+
+@dataclass(frozen=True)
+class Partition:
+    sink_ids: list[int]
+    candidate_ids: list[int]
+    tail_ids: list[int]
+
+
+@dataclass(frozen=True)
+class ScoredCandidate:
+    frame_id: int
+    stability: float
+    redundancy: float
+    relaxation: float
+
+
+@dataclass(frozen=True)
+class StructuredMemory:
+    """Resolved conditioning set for one generation step, with role tags."""
+
+    sink_ids: list[int] = field(default_factory=list)
+    history_ids: list[int] = field(default_factory=list)
+    tail_ids: list[int] = field(default_factory=list)
+
+    @property
+    def all_ids(self) -> list[int]:
+        return [*self.sink_ids, *self.history_ids, *self.tail_ids]
+
+    def __len__(self) -> int:
+        return len(self.sink_ids) + len(self.history_ids) + len(self.tail_ids)
+
+
+def partition(generated_count: int, cfg: MemoryConfig) -> Partition:
+    """Split ids 0..generated_count-1 into sink / candidate / tail regions.
+
+    Total function: while too few frames exist, the tail takes the most
+    recent frames first and the sink the earliest of the remainder.
+    """
+    if generated_count < 0:
+        raise ContractViolationError("generated_count must be >= 0")
+    i = generated_count
+    n_tail = min(i, cfg.n_tail)
+    n_sink = min(i - n_tail, cfg.n_sink)
+    return Partition(
+        sink_ids=list(range(n_sink)),
+        candidate_ids=list(range(n_sink, i - n_tail)),
+        tail_ids=list(range(i - n_tail, i)),
+    )
+
+
+def restrict_candidates(p: Partition) -> list[int]:
+    """Keep only the second half of the candidate region (order preserved)."""
+    n = len(p.candidate_ids)
+    return [h for idx, h in enumerate(p.candidate_ids) if 2 * idx >= n]
+
+
+def sample_pool(restricted: list[int], pool_size: int) -> list[int]:
+    """Deterministic evenly spaced subsample of the restricted region.
+
+    Endpoints are always included; with a single slot the most recent frame
+    wins.
+    """
+    if pool_size < 1:
+        raise ContractViolationError("pool_size must be >= 1")
+    n = len(restricted)
+    if n <= pool_size:
+        return list(restricted)
+    if pool_size == 1:
+        return [restricted[-1]]
+    return [restricted[j * (n - 1) // (pool_size - 1)] for j in range(pool_size)]
+
+
+def _pooled_keys(frame: Frame, scoring_layer: int | None) -> np.ndarray:
+    if scoring_layer is None:
+        return frame.keys.reshape(-1, frame.keys.shape[-1])
+    if not 0 <= scoring_layer < frame.keys.shape[0]:
+        raise ContractViolationError(f"scoring layer {scoring_layer} out of range")
+    return frame.keys[scoring_layer]
+
+
+def _normalize(vec: np.ndarray) -> np.ndarray:
+    norm = float(np.linalg.norm(vec))
+    if norm < _ZERO_NORM:
+        raise DegeneratePrototypeError("key block has zero mean; no prototype direction")
+    return vec / norm
+
+
+def frame_prototype(frame: Frame, scoring_layer: int | None = None) -> np.ndarray:
+    """Unit-norm mean key of one frame (pooled over tokens and layers)."""
+    return _normalize(_pooled_keys(frame, scoring_layer).mean(axis=0))
+
+
+def group_prototype(frames: list[Frame], scoring_layer: int | None = None) -> np.ndarray:
+    """Unit-norm mean key over all tokens of all frames in the group."""
+    if not frames:
+        raise EmptyGroupError("cannot build a prototype from an empty group")
+    pooled = np.concatenate([_pooled_keys(f, scoring_layer) for f in frames], axis=0)
+    return _normalize(pooled.mean(axis=0))
+
+
+def score_candidate(
+    frame_id: int,
+    proto_h: np.ndarray,
+    proto_sink: np.ndarray | None,
+    proto_tail: np.ndarray | None,
+    lam: float,
+) -> ScoredCandidate:
+    """Stability/redundancy dot products and their relaxation combination.
+
+    A missing sink or tail group contributes 0 to its term.
+    """
+    stability = float(proto_h @ proto_sink) if proto_sink is not None else 0.0
+    redundancy = float(proto_h @ proto_tail) if proto_tail is not None else 0.0
+    return ScoredCandidate(
+        frame_id=frame_id,
+        stability=stability,
+        redundancy=redundancy,
+        relaxation=stability - lam * redundancy,
+    )
+
+
+def select_history(scored: list[ScoredCandidate], k: int) -> list[int]:
+    """Ids of the min(k, n) highest relaxation scores; ties go to the more
+    recent frame. Output ascending by id."""
+    if k <= 0:
+        return []
+    ranked = sorted(scored, key=lambda s: (-s.relaxation, -s.frame_id))
+    return sorted(s.frame_id for s in ranked[:k])
+
+
+def build_memory(p: Partition, history_ids: list[int]) -> StructuredMemory:
+    """Assemble sink + selected history + tail, validating the selection lies
+    in the restricted candidate region."""
+    allowed = set(restrict_candidates(p))
+    outside = [h for h in history_ids if h not in allowed]
+    if outside:
+        raise ContractViolationError(
+            f"history ids {outside} lie outside the restricted candidate region"
+        )
+    return StructuredMemory(
+        sink_ids=list(p.sink_ids),
+        history_ids=sorted(history_ids),
+        tail_ids=list(p.tail_ids),
+    )
+
+
+def select_memory(
+    frames: dict[int, Frame], generated_count: int, cfg: MemoryConfig
+) -> tuple[StructuredMemory, list[ScoredCandidate]]:
+    """Full selection pipeline for one step: partition, restrict, pool,
+    prototype, score, top-k, assemble."""
+    p = partition(generated_count, cfg)
+    pool = sample_pool(restrict_candidates(p), cfg.pool_size)
+    if not pool or cfg.n_history == 0:
+        return build_memory(p, []), []
+
+    sink_frames = [frames[i] for i in p.sink_ids]
+    tail_frames = [frames[i] for i in p.tail_ids]
+    proto_sink = group_prototype(sink_frames, cfg.scoring_layer) if sink_frames else None
+    proto_tail = group_prototype(tail_frames, cfg.scoring_layer) if tail_frames else None
+
+    scored = [
+        score_candidate(
+            h,
+            frame_prototype(frames[h], cfg.scoring_layer),
+            proto_sink,
+            proto_tail,
+            cfg.lam,
+        )
+        for h in pool
+    ]
+    history = select_history(scored, cfg.n_history)
+    return build_memory(p, history), scored

@@ -1,0 +1,113 @@
+"""Rotary positional indexing.
+
+Two position-plan builders (hybrid structured-memory scheme and the
+sliding-window reset baseline) plus the rotary rotation itself.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .config import RotaryParams
+from .errors import ContractViolationError, InvalidStepError, WindowOverflowError
+from .memory import StructuredMemory
+
+
+@dataclass(frozen=True)
+class PositionPlan:
+    """Positional index for every attended frame plus the current chunk."""
+
+    assignments: list[tuple[int, int]]
+    current_chunk_positions: list[int]
+
+    def position_of(self, frame_id: int) -> int:
+        for fid, pos in self.assignments:
+            if fid == frame_id:
+                return pos
+        raise ContractViolationError(f"frame {frame_id} not covered by the plan")
+
+    def as_dict(self) -> dict[int, int]:
+        return dict(self.assignments)
+
+
+def relaxed_positions(mem: StructuredMemory, current_index: int, chunk: int) -> PositionPlan:
+    """Hybrid indexing: tail keeps absolute frame indices ending at i-1; sink
+    then history share the contiguous range immediately before the tail."""
+    i = current_index
+    n_tail = len(mem.tail_ids)
+    n_sh = len(mem.sink_ids) + len(mem.history_ids)
+    p_tail = i - n_tail
+    p_sh = p_tail - n_sh
+    if p_sh < 0 or i < n_tail:
+        raise InvalidStepError(
+            f"step {i} too small for memory of {n_sh + n_tail} frames"
+        )
+    assignments: list[tuple[int, int]] = []
+    pos = p_sh
+    for fid in sorted(mem.sink_ids):
+        assignments.append((fid, pos))
+        pos += 1
+    for fid in sorted(mem.history_ids):
+        assignments.append((fid, pos))
+        pos += 1
+    pos = p_tail
+    for fid in sorted(mem.tail_ids):
+        assignments.append((fid, pos))
+        pos += 1
+    return PositionPlan(
+        assignments=assignments,
+        current_chunk_positions=list(range(i, i + chunk)),
+    )
+
+
+def window_positions(
+    anchor_chunk_ids: list[int], new_ids: list[int], chunk: int, window: int
+) -> PositionPlan:
+    """Sliding-window reset: the anchor chunk restarts at position 0 and every
+    later frame follows in generation order."""
+    if len(anchor_chunk_ids) != chunk:
+        raise ContractViolationError(
+            f"anchor chunk must contain exactly {chunk} frames"
+        )
+    if len(anchor_chunk_ids) + len(new_ids) > window:
+        raise WindowOverflowError(
+            f"{len(anchor_chunk_ids) + len(new_ids)} frames exceed window {window}"
+        )
+    assignments = [(fid, pos) for pos, fid in enumerate([*anchor_chunk_ids, *new_ids])]
+    start = len(assignments)
+    return PositionPlan(
+        assignments=assignments,
+        current_chunk_positions=list(range(start, start + chunk)),
+    )
+
+
+def _angles(positions: np.ndarray, params: RotaryParams) -> np.ndarray:
+    half = params.dim // 2
+    inv_freq = params.base_theta ** (-2.0 * np.arange(half) / params.dim)
+    return np.asarray(positions, dtype=np.float64)[..., None] * inv_freq
+
+
+def apply_rotary(vec: np.ndarray, position: int, params: RotaryParams) -> np.ndarray:
+    """Rotate dimension pairs (2j, 2j+1) by position * base^(-2j/dim)."""
+    vec = np.asarray(vec, dtype=np.float64)
+    if vec.shape[-1] != params.dim:
+        raise ContractViolationError(
+            f"vector dim {vec.shape[-1]} != rotary dim {params.dim}"
+        )
+    return rotate_tokens(vec[None, :], np.array([position]), params)[0]
+
+
+def rotate_tokens(
+    vecs: np.ndarray, positions: np.ndarray, params: RotaryParams
+) -> np.ndarray:
+    """Vectorized rotary rotation: vecs (n, dim), positions (n,)."""
+    vecs = np.asarray(vecs, dtype=np.float64)
+    theta = _angles(positions, params)
+    cos, sin = np.cos(theta), np.sin(theta)
+    even, odd = vecs[..., 0::2], vecs[..., 1::2]
+    out = np.empty_like(vecs)
+    out[..., 0::2] = even * cos - odd * sin
+    out[..., 1::2] = even * sin + odd * cos
+    return out
