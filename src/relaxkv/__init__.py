@@ -15,6 +15,7 @@ from .memory import (
     ScoredCandidate,
     StructuredMemory,
     build_memory,
+    fixed_history,
     frame_prototype,
     group_prototype,
     partition,
@@ -60,6 +61,7 @@ __all__ = [
     "cost_ratio",
     "count_step_cost",
     "drift",
+    "fixed_history",
     "frame_prototype",
     "group_prototype",
     "partition",

@@ -13,7 +13,13 @@ import numpy as np
 
 from .config import MemoryConfig, ModelParams, Policy
 from .errors import CacheMissError, ContractViolationError
-from .memory import Frame, StructuredMemory, partition, restrict_candidates
+from .memory import (
+    Frame,
+    StructuredMemory,
+    fixed_history,
+    partition,
+    restrict_candidates,
+)
 from .rope import PositionPlan, rotate_tokens
 
 
@@ -34,6 +40,9 @@ class KVCache:
 
     frames: dict[int, Frame] = field(default_factory=dict)
     roles: dict[int, str] = field(default_factory=dict)
+    # generated_count of the last append_and_evict; frames at or above
+    # generated_count - n_tail were tagged "tail" then.
+    generated_count: int = 0
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -68,10 +77,6 @@ class ToyAttentionStack:
         return out
 
 
-def _split_heads(x: np.ndarray, heads: int, head_dim: int) -> np.ndarray:
-    return x.reshape(x.shape[0], heads, head_dim)
-
-
 def attend_chunk(
     chunk_hidden: np.ndarray,
     mem: StructuredMemory,
@@ -100,11 +105,25 @@ def attend_chunk(
         if fid not in positions:
             raise ContractViolationError(f"frame {fid} has no positional index")
 
-    mem_pos = np.repeat([positions[fid] for fid in mem_ids], F)
-    chunk_pos = np.repeat(plan.current_chunk_positions, F)
-    key_pos = np.concatenate([mem_pos, chunk_pos]) if len(mem_ids) else chunk_pos
+    H, hd = p.heads, p.head_dim
+    n_mem, n_new = len(mem_ids) * F, U * F
+    chunk_pos = np.repeat(plan.current_chunk_positions, F)[:, None]
+    # Head-split, rotated keys and values of memory then chunk, for every
+    # layer: (layers, n_mem + n_new, H, hd). The memory part is gathered from
+    # the cache and rotated once per step, not once per layer.
+    keys = np.empty((p.layers, n_mem + n_new, H, hd))
+    values = np.empty_like(keys)
+    if mem_ids:
+        mem_pos = np.repeat([positions[fid] for fid in mem_ids], F)[:, None]
+        k_mem = np.stack([cache.frames[fid].keys for fid in mem_ids], axis=1)
+        v_mem = np.stack([cache.frames[fid].values for fid in mem_ids], axis=1)
+        keys[:, :n_mem] = rotate_tokens(
+            k_mem.reshape(p.layers, n_mem, H, hd), mem_pos, p.rotary
+        )
+        values[:, :n_mem] = v_mem.reshape(p.layers, n_mem, H, hd)
 
-    h = chunk_hidden.reshape(U * F, d)
+    scale = 1.0 / np.sqrt(hd)
+    h = chunk_hidden.reshape(n_new, d)
     new_keys = np.empty((p.layers, U, F, d))
     new_values = np.empty((p.layers, U, F, d))
     ops = 0
@@ -114,29 +133,22 @@ def attend_chunk(
         v_new = h @ wv
         new_keys[layer] = k_new.reshape(U, F, d)
         new_values[layer] = v_new.reshape(U, F, d)
-        if mem_ids:
-            k_mem = np.concatenate([cache.frames[fid].keys[layer] for fid in mem_ids])
-            v_mem = np.concatenate([cache.frames[fid].values[layer] for fid in mem_ids])
-            k_all = np.concatenate([k_mem, k_new])
-            v_all = np.concatenate([v_mem, v_new])
-        else:
-            k_all, v_all = k_new, v_new
+        # queries and chunk keys share the chunk positions: one rotation
+        qk = np.stack([q, k_new]).reshape(2, n_new, H, hd)
+        q_h, k_h = rotate_tokens(qk, chunk_pos, p.rotary)
+        keys[layer, n_mem:] = k_h
+        values[layer, n_mem:] = v_new.reshape(n_new, H, hd)
 
-        q_h = rotate_tokens(
-            _split_heads(q, p.heads, p.head_dim), chunk_pos[:, None], p.rotary
-        )
-        k_h = rotate_tokens(
-            _split_heads(k_all, p.heads, p.head_dim), key_pos[:, None], p.rotary
-        )
-        v_h = _split_heads(v_all, p.heads, p.head_dim)
-
-        logits = np.einsum("qhd,khd->hqk", q_h, k_h) / np.sqrt(p.head_dim)
-        ops += p.heads * logits.shape[1] * logits.shape[2]
+        # (H, n_new, hd) @ (H, hd, K) -> (H, n_new, K)
+        q_h = q_h * scale
+        logits = q_h.transpose(1, 0, 2) @ keys[layer].transpose(1, 2, 0)
+        ops += logits.size
         logits -= logits.max(axis=2, keepdims=True)
-        attn = np.exp(logits)
+        attn = np.exp(logits, out=logits)
         attn /= attn.sum(axis=2, keepdims=True)
-        ctx = np.einsum("hqk,khd->qhd", attn, v_h).reshape(U * F, d)
-        h = h + ctx @ wo
+        # (H, n_new, K) @ (H, K, hd) -> (H, n_new, hd)
+        ctx = attn @ values[layer].transpose(1, 0, 2)
+        h = h + ctx.transpose(1, 0, 2).reshape(n_new, d) @ wo
 
     attended = len(mem_ids) + U
     report = CostReport(
@@ -159,51 +171,77 @@ def count_step_cost(
     )
 
 
-def _retained_ids(ids: list[int], cfg: MemoryConfig, generated_count: int) -> set[int]:
+def _retention(
+    cfg: MemoryConfig, generated_count: int
+) -> tuple[int, int, list[int]]:
+    """Closed-form retained set once ``generated_count`` frames exist.
+
+    Returns (sink_end, keep_from, pinned): a frame is kept when
+    ``id < sink_end``, ``id >= keep_from`` or ``id in pinned``.
+    """
     i = generated_count
     budget = cfg.memory_budget
-    chunk = cfg.chunk_size
     if cfg.policy is Policy.FULL:
-        return set(ids)
+        return 0, 0, []
     if cfg.policy is Policy.NONE:
-        return set()
+        return 0, i, []
     if cfg.policy is Policy.DENSE_WINDOW:
-        return {f for f in ids if f >= i - cfg.window_size}
+        return 0, i - cfg.window_size, []
     if cfg.policy is Policy.SINK_ONLY:
-        return {f for f in ids if f < budget}
+        return budget, i, []
     if cfg.policy is Policy.TAIL_ONLY:
-        return {f for f in ids if f >= i - budget}
+        return 0, i - budget, []
     if cfg.policy is Policy.ATTENTION_SINK:
-        recent = cfg.n_tail + cfg.n_history
-        return {f for f in ids if f < cfg.n_sink or f >= i - recent}
-    # relaxed / history_only: sinks + candidate region + tail; during warmup
-    # the next step still attends densely, so keep the latest chunk too.
+        return cfg.n_sink, i - (cfg.n_tail + cfg.n_history), []
+    # relaxed / history_only: sinks + candidate region + tail, which together
+    # are every generated frame unless the cache is bounded.
+    if not cfg.bounded_cache:
+        return 0, 0, []
+    # Bounded: only the restricted (second) half of the candidate region; during
+    # warmup the next step still attends densely, so keep the latest chunk too.
     p = partition(i, cfg)
-    keep = set(p.sink_ids) | set(p.tail_ids) | {f for f in ids if f >= i - chunk}
-    if cfg.bounded_cache:
-        keep |= set(restrict_candidates(p))
-    else:
-        keep |= set(p.candidate_ids)
-    return keep
+    restricted = restrict_candidates(p)
+    keep_from = restricted[0] if restricted else i - len(p.tail_ids)
+    keep_from = min(keep_from, i - cfg.chunk_size)
+    pinned = []
+    if cfg.policy is Policy.RELAXED and cfg.fixed_history_position is not None:
+        # the next step attends these candidates whichever half they lie in
+        pinned = fixed_history(p, cfg)
+    return len(p.sink_ids), keep_from, pinned
 
 
 def append_and_evict(
     cache: KVCache, new_frames: list[Frame], cfg: MemoryConfig, generated_count: int
 ) -> KVCache:
     """Insert freshly generated frames and drop frames the policy can never
-    attend to again. Sink frames survive for the whole rollout."""
+    attend to again. Sink frames survive for the whole rollout.
+
+    ``generated_count`` must not decrease between calls on one cache.
+    """
     for frame in new_frames:
         cache.frames[frame.id] = frame
-    keep = _retained_ids(sorted(cache.frames), cfg, generated_count)
-    for fid in [f for f in cache.frames if f not in keep]:
-        del cache.frames[fid]
-        cache.roles.pop(fid, None)
+    sink_end, keep_from, pinned = _retention(cfg, generated_count)
+    if keep_from > sink_end:
+        doomed = [
+            fid for fid in cache.frames
+            if sink_end <= fid < keep_from and fid not in pinned
+        ]
+        for fid in doomed:
+            del cache.frames[fid]
+            cache.roles.pop(fid, None)
+    # Roles change only for the new frames and for frames leaving the tail;
+    # every frame below the previous tail keeps its role.
     has_sink = cfg.policy not in (Policy.DENSE_WINDOW, Policy.TAIL_ONLY, Policy.NONE)
-    for fid in cache.frames:
+    tail_start = generated_count - cfg.n_tail
+    changed = range(max(0, cache.generated_count - cfg.n_tail), generated_count)
+    for fid in [*changed, *(frame.id for frame in new_frames)]:
+        if fid not in cache.frames:
+            continue
         if has_sink and fid < cfg.n_sink:
             cache.roles[fid] = "sink"
-        elif fid >= generated_count - cfg.n_tail:
+        elif fid >= tail_start:
             cache.roles[fid] = "tail"
         else:
             cache.roles[fid] = "candidate"
+    cache.generated_count = generated_count
     return cache

@@ -20,7 +20,13 @@ from pathlib import Path
 from .attention import count_step_cost
 from .config import MemoryConfig, ModelParams, Policy, RolloutConfig
 from .errors import ConfigError, RelaxKVError
-from .memory import StructuredMemory, partition, restrict_candidates, sample_pool
+from .memory import (
+    StructuredMemory,
+    fixed_history,
+    partition,
+    restrict_candidates,
+    sample_pool,
+)
 from .metrics import (
     DEFAULT_CLIP_FRAMES,
     balance,
@@ -347,12 +353,7 @@ def _profile_sizes(i: int, mcfg: MemoryConfig, window_len: int) -> tuple[int, in
         return 0, min(budget, len(pool)), 0
     # relaxed
     if mcfg.fixed_history_position is not None:
-        cand = p.candidate_ids
-        hist = 0
-        if cand:
-            pos = min(mcfg.fixed_history_position, len(cand) - 1)
-            hist = len(cand[pos : pos + mcfg.n_history])
-        return len(p.sink_ids), hist, len(p.tail_ids)
+        return len(p.sink_ids), len(fixed_history(p, mcfg)), len(p.tail_ids)
     pool = sample_pool(restrict_candidates(p), mcfg.pool_size)
     return len(p.sink_ids), min(mcfg.n_history, len(pool)), len(p.tail_ids)
 

@@ -101,6 +101,17 @@ def restrict_candidates(p: Partition) -> list[int]:
     return [h for idx, h in enumerate(p.candidate_ids) if 2 * idx >= n]
 
 
+def fixed_history(p: Partition, cfg: MemoryConfig) -> list[int]:
+    """History picked without scoring: ``cfg.n_history`` candidates from the
+    fixed 0-based position ``cfg.fixed_history_position`` of the candidate
+    region, clamped to the most recent candidate when fewer exist."""
+    cand = p.candidate_ids
+    if not cand:
+        return []
+    pos = min(cfg.fixed_history_position, len(cand) - 1)
+    return cand[pos : pos + cfg.n_history]
+
+
 def sample_pool(restricted: list[int], pool_size: int) -> list[int]:
     """Deterministic evenly spaced subsample of the restricted region.
 

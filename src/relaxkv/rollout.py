@@ -19,6 +19,7 @@ from .memory import (
     Frame,
     ScoredCandidate,
     StructuredMemory,
+    fixed_history,
     partition,
     restrict_candidates,
     sample_pool,
@@ -93,14 +94,11 @@ def structured_step_memory(
     if policy is Policy.RELAXED:
         if cfg.fixed_history_position is not None:
             p = partition(i, cfg)
-            cand = p.candidate_ids
-            history: list[int] = []
-            if cand:
-                pos = min(cfg.fixed_history_position, len(cand) - 1)
-                history = cand[pos : pos + cfg.n_history]
             return (
                 StructuredMemory(
-                    sink_ids=p.sink_ids, history_ids=history, tail_ids=p.tail_ids
+                    sink_ids=p.sink_ids,
+                    history_ids=fixed_history(p, cfg),
+                    tail_ids=p.tail_ids,
                 ),
                 [],
             )
@@ -118,43 +116,51 @@ def run_rollout(cfg: RolloutConfig) -> RolloutTrace:
     features: list[np.ndarray] = []
     window: list[int] = []  # dense_window state
 
-    for step, start in enumerate(range(0, cfg.total_frames, U)):
-        i = start
-        chunk_ids = list(range(i, i + U))
-        if mcfg.policy is Policy.DENSE_WINDOW:
-            if len(window) + U > mcfg.window_size:
-                window = window[-U:]  # re-anchor on the previous window's final chunk
-            mem = StructuredMemory(tail_ids=list(window))
-            scored: list[ScoredCandidate] = []
-            if window:
-                plan = window_positions(window[:U], window[U:], U, mcfg.window_size)
+    step = 0
+    try:
+        for step, start in enumerate(range(0, cfg.total_frames, U)):
+            i = start
+            chunk_ids = list(range(i, i + U))
+            if mcfg.policy is Policy.DENSE_WINDOW:
+                if len(window) + U > mcfg.window_size:
+                    # re-anchor on the previous window's final chunk
+                    window = window[-U:]
+                mem = StructuredMemory(tail_ids=list(window))
+                scored: list[ScoredCandidate] = []
+                if window:
+                    plan = window_positions(window[:U], window[U:], U, mcfg.window_size)
+                else:
+                    plan = PositionPlan(
+                        assignments=[], current_chunk_positions=list(range(U))
+                    )
             else:
-                plan = PositionPlan(assignments=[], current_chunk_positions=list(range(U)))
-        else:
-            mem, scored = structured_step_memory(cache, i, mcfg)
-            plan = relaxed_positions(mem, i, U)
+                mem, scored = structured_step_memory(cache, i, mcfg)
+                plan = relaxed_positions(mem, i, U)
 
-        hidden = stack.embed_chunk(chunk_ids)
-        out, new_keys, new_values, cost = attend_chunk(hidden, mem, plan, cache, stack)
-        new_frames = [
-            Frame(id=fid, keys=new_keys[:, j], values=new_values[:, j])
-            for j, fid in enumerate(chunk_ids)
-        ]
-        append_and_evict(cache, new_frames, mcfg, i + U)
-        if mcfg.policy is Policy.DENSE_WINDOW:
-            window.extend(chunk_ids)
+            hidden = stack.embed_chunk(chunk_ids)
+            out, new_keys, new_values, cost = attend_chunk(hidden, mem, plan, cache, stack)
+            new_frames = [
+                Frame(id=fid, keys=new_keys[:, j], values=new_values[:, j])
+                for j, fid in enumerate(chunk_ids)
+            ]
+            append_and_evict(cache, new_frames, mcfg, i + U)
+            if mcfg.policy is Policy.DENSE_WINDOW:
+                window.extend(chunk_ids)
 
-        features.extend(out.mean(axis=1))
-        records.append(
-            StepRecord(
-                step=step,
-                generated_before=i,
-                memory=mem,
-                scored=scored,
-                plan=plan,
-                cost=cost,
+            features.extend(out.mean(axis=1))
+            records.append(
+                StepRecord(
+                    step=step,
+                    generated_before=i,
+                    memory=mem,
+                    scored=scored,
+                    plan=plan,
+                    cost=cost,
+                )
             )
-        )
+    except RelaxKVError as exc:
+        # same error type, so the CLI exit code is unchanged
+        raise type(exc)(f"step {step} (policy {mcfg.policy.value}): {exc}") from exc
 
     return RolloutTrace(
         config=cfg, records=records, frame_features=np.asarray(features)

@@ -1,7 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import relaxkv.rollout as rollout_module
 
 from relaxkv import (
     Frame,
@@ -9,14 +13,18 @@ from relaxkv import (
     MemoryConfig,
     ModelParams,
     Policy,
+    RolloutConfig,
     StructuredMemory,
     ToyAttentionStack,
     append_and_evict,
     attend_chunk,
+    audit_history_compliance,
     count_step_cost,
+    fixed_history,
     partition,
     relaxed_positions,
     restrict_candidates,
+    run_rollout,
 )
 from relaxkv.errors import CacheMissError, ContractViolationError
 from relaxkv.rope import PositionPlan
@@ -135,6 +143,39 @@ class TestAttendChunk:
         np.testing.assert_allclose(out, ref, atol=1e-5)
         assert cost.attended_frames == n_mem + U
 
+    @pytest.mark.parametrize(
+        "params, n_mem, U",
+        [
+            (ModelParams(layers=2, heads=1, head_dim=4, frame_tokens=3), 3, 2),
+            (SMALL, 2, 1),  # one-frame chunk
+            (SMALL, 0, 2),  # empty memory
+            (SMALL, 0, 1),
+            # full-policy memory of 1040 key tokens
+            (ModelParams(layers=1, heads=2, head_dim=4, frame_tokens=4), 260, 1),
+        ],
+        ids=["heads1", "chunk1", "empty-memory", "empty-memory-chunk1", "full-1040-keys"],
+    )
+    def test_matches_naive_reference_on_reshaped_shapes(self, params, n_mem, U):
+        rng = np.random.default_rng(n_mem + U)
+        stack = ToyAttentionStack(params, seed=n_mem)
+        mem_frames = [random_frame(rng, fid, params) for fid in range(n_mem)]
+        cache = KVCache(frames={f.id: f for f in mem_frames})
+        mem = StructuredMemory(tail_ids=list(range(n_mem)))
+        plan = relaxed_positions(mem, n_mem, U)
+        h = rng.normal(size=(U, params.frame_tokens, params.d))
+        out, new_keys, new_values, cost = attend_chunk(h, mem, plan, cache, stack)
+        ref = naive_reference(
+            h, mem_frames, list(range(n_mem)), plan.current_chunk_positions, stack
+        )
+        # float64 sums in another order than the loops': a few ulps each
+        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
+        # the chunk's cache entries are its own first-layer projections
+        _, wk, wv, _ = stack.weights[0]
+        flat = h.reshape(-1, params.d)
+        np.testing.assert_array_equal(new_keys[0].reshape(flat.shape), flat @ wk)
+        np.testing.assert_array_equal(new_values[0].reshape(flat.shape), flat @ wv)
+        assert cost == count_step_cost(mem, U, params.frame_tokens, params)
+
     def test_cache_miss(self):
         stack = ToyAttentionStack(SMALL, seed=0)
         mem = StructuredMemory(tail_ids=[0])
@@ -232,3 +273,96 @@ class TestAppendAndEvict:
             ids = list(range(step * 3, (step + 1) * 3))
             append_and_evict(cache, self.chunk_frames(rng, ids), cfg, (step + 1) * 3)
         assert sorted(cache.frames) == list(range(60))
+
+
+def set_based_retention(ids, cfg, generated_count):
+    """Brute-force retention rule: the set each policy keeps, built frame by
+    frame from the partition."""
+    i = generated_count
+    budget = cfg.memory_budget
+    if cfg.policy is Policy.FULL:
+        return set(ids)
+    if cfg.policy is Policy.NONE:
+        return set()
+    if cfg.policy is Policy.DENSE_WINDOW:
+        return {f for f in ids if f >= i - cfg.window_size}
+    if cfg.policy is Policy.SINK_ONLY:
+        return {f for f in ids if f < budget}
+    if cfg.policy is Policy.TAIL_ONLY:
+        return {f for f in ids if f >= i - budget}
+    if cfg.policy is Policy.ATTENTION_SINK:
+        recent = cfg.n_tail + cfg.n_history
+        return {f for f in ids if f < cfg.n_sink or f >= i - recent}
+    p = partition(i, cfg)
+    keep = set(p.sink_ids) | set(p.tail_ids) | {f for f in ids if f >= i - cfg.chunk_size}
+    if cfg.bounded_cache:
+        keep |= set(restrict_candidates(p))
+    else:
+        keep |= set(p.candidate_ids)
+    return keep
+
+
+def recomputed_roles(ids, cfg, generated_count):
+    has_sink = cfg.policy not in (Policy.DENSE_WINDOW, Policy.TAIL_ONLY, Policy.NONE)
+    roles = {}
+    for fid in ids:
+        if has_sink and fid < cfg.n_sink:
+            roles[fid] = "sink"
+        elif fid >= generated_count - cfg.n_tail:
+            roles[fid] = "tail"
+        else:
+            roles[fid] = "candidate"
+    return roles
+
+
+TINY = ModelParams(layers=2, heads=1, head_dim=4, frame_tokens=2)
+
+
+@st.composite
+def rollout_configs(draw):
+    chunk = draw(st.integers(1, 4))
+    n_history = draw(st.integers(0, 2))
+    mem = MemoryConfig(
+        policy=draw(st.sampled_from(list(Policy))),
+        n_sink=draw(st.integers(0, 3)),
+        n_history=n_history,
+        n_tail=draw(st.integers(0, 3)),
+        pool_size=draw(st.integers(max(1, n_history), 5)),
+        chunk_size=chunk,
+        window_size=draw(st.integers(chunk, chunk + 12)),
+        fixed_history_position=draw(st.none() | st.integers(0, 8)),
+        bounded_cache=draw(st.booleans()),
+    )
+    steps = draw(st.integers(1, 16))
+    return RolloutConfig(memory=mem, model=TINY, total_frames=steps * chunk, seed=3)
+
+
+class TestRetentionProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(rollout_configs())
+    def test_cache_after_every_step(self, cfg):
+        """After each step the cache holds every frame the next step attends,
+        exactly the set-based rule's frames plus the fixed-position history,
+        and its incrementally kept roles equal a full recomputation."""
+        mcfg = cfg.memory
+        snapshots = []
+
+        def recording(cache, new_frames, mem_cfg, generated_count):
+            before = [*cache.frames, *(f.id for f in new_frames)]
+            append_and_evict(cache, new_frames, mem_cfg, generated_count)
+            snapshots.append((before, generated_count, list(cache.frames), dict(cache.roles)))
+            return cache
+
+        with mock.patch.object(rollout_module, "append_and_evict", recording):
+            trace = run_rollout(cfg)
+
+        pins = mcfg.policy is Policy.RELAXED and mcfg.fixed_history_position is not None
+        for step, (before, count, frames, roles) in enumerate(snapshots):
+            expected = set_based_retention(before, mcfg, count)
+            if pins:  # what the fixed position attends next, in either half
+                expected |= set(fixed_history(partition(count, mcfg), mcfg))
+            assert set(frames) == expected
+            assert roles == recomputed_roles(frames, mcfg, count)
+            if step + 1 < len(trace.records):
+                assert set(trace.records[step + 1].memory.all_ids) <= set(frames)
+        assert audit_history_compliance(trace) == []

@@ -69,6 +69,31 @@ class TestRollout:
         monkeypatch.setattr(cli_mod, "run_rollout", boom)
         assert main(["rollout", "--seed", "1", "--out", str(tmp_path)]) == 3
 
+    def test_contract_error_names_step_policy_and_frame(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import relaxkv.rollout as rollout_mod
+
+        evict = rollout_mod.append_and_evict
+
+        def losing_first_sink(cache, new_frames, cfg, generated_count):
+            evict(cache, new_frames, cfg, generated_count)
+            cache.frames.pop(0, None)
+            return cache
+
+        monkeypatch.setattr(rollout_mod, "append_and_evict", losing_first_sink)
+        assert main(["rollout", "--seed", "1", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "step 1 (policy relaxed): frame 0 missing from cache" in err
+
+    @pytest.mark.parametrize("position", [0, 3, 10])
+    def test_bounded_cache_keeps_fixed_history_frames(self, tmp_path, position):
+        args = ["rollout", "--seed", "1", "--out", str(tmp_path),
+                "--set", "memory.bounded_cache=true",
+                "--set", f"memory.fixed_history_position={position}",
+                "--set", "rollout.total_frames=90"]
+        assert main(args) == 0
+
 
 class TestSweep:
     def test_sink_grid(self, tmp_path):
