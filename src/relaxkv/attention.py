@@ -1,4 +1,4 @@
-"""Deterministic toy multi-head causal attention stack with a role-tagged KV cache.
+"""Deterministic toy multi-head causal attention stack with an evicting KV cache.
 
 The stack stands in for a large video backbone at desk scale: all projection
 matrices are a pure function of the run seed, every chunk is generated in a
@@ -32,17 +32,13 @@ class CostReport:
 
 @dataclass
 class KVCache:
-    """Per-rollout store of generated frames with their role tags.
+    """Per-rollout store of generated frames.
 
     Frames hold per-layer K/V blocks; rotary rotation is applied at attention
     time because a frame's positional index changes from step to step.
     """
 
     frames: dict[int, Frame] = field(default_factory=dict)
-    roles: dict[int, str] = field(default_factory=dict)
-    # generated_count of the last append_and_evict; frames at or above
-    # generated_count - n_tail were tagged "tail" then.
-    generated_count: int = 0
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -214,10 +210,7 @@ def append_and_evict(
     cache: KVCache, new_frames: list[Frame], cfg: MemoryConfig, generated_count: int
 ) -> KVCache:
     """Insert freshly generated frames and drop frames the policy can never
-    attend to again. Sink frames survive for the whole rollout.
-
-    ``generated_count`` must not decrease between calls on one cache.
-    """
+    attend to again. Sink frames survive for the whole rollout."""
     for frame in new_frames:
         cache.frames[frame.id] = frame
     sink_end, keep_from, pinned = _retention(cfg, generated_count)
@@ -228,20 +221,4 @@ def append_and_evict(
         ]
         for fid in doomed:
             del cache.frames[fid]
-            cache.roles.pop(fid, None)
-    # Roles change only for the new frames and for frames leaving the tail;
-    # every frame below the previous tail keeps its role.
-    has_sink = cfg.policy not in (Policy.DENSE_WINDOW, Policy.TAIL_ONLY, Policy.NONE)
-    tail_start = generated_count - cfg.n_tail
-    changed = range(max(0, cache.generated_count - cfg.n_tail), generated_count)
-    for fid in [*changed, *(frame.id for frame in new_frames)]:
-        if fid not in cache.frames:
-            continue
-        if has_sink and fid < cfg.n_sink:
-            cache.roles[fid] = "sink"
-        elif fid >= tail_start:
-            cache.roles[fid] = "tail"
-        else:
-            cache.roles[fid] = "candidate"
-    cache.generated_count = generated_count
     return cache

@@ -15,18 +15,13 @@ import io
 import itertools
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .attention import count_step_cost
 from .config import MemoryConfig, ModelParams, Policy, RolloutConfig
 from .errors import ConfigError, RelaxKVError
-from .memory import (
-    StructuredMemory,
-    fixed_history,
-    partition,
-    restrict_candidates,
-    sample_pool,
-)
+from .memory import StructuredMemory, partition, restrict_candidates, sample_pool
 from .metrics import (
     DEFAULT_CLIP_FRAMES,
     balance,
@@ -34,72 +29,46 @@ from .metrics import (
     steady_cost,
     trace_metrics,
 )
-from .rollout import RolloutTrace, run_rollout, run_sweep
+from .rollout import RolloutTrace, run_rollout, run_sweep, structured_step_memory
 
 SCHEMA_VERSION = 1
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
-# key -> parser; None-able ints accept the empty string or "none"
-_SCHEMA = {
-    "memory": {
-        "policy": lambda v: Policy(v),
-        "n_sink": int,
-        "n_history": int,
-        "n_tail": int,
-        "pool_size": int,
-        "lambda": float,
-        "chunk_size": int,
-        "window_size": int,
-        "fixed_history_position": lambda v: None if v.lower() in ("", "none") else int(v),
-        "bounded_cache": lambda v: _BOOL[v.lower()],
-        "scoring_layer": lambda v: None if v.lower() in ("", "none") else int(v),
-    },
-    "model": {
-        "layers": int,
-        "heads": int,
-        "head_dim": int,
-        "frame_tokens": int,
-        "rotary_base": float,
-    },
-    "rollout": {
-        "total_frames": int,
-        "seed": int,
-    },
-    "metrics": {
-        "clip_frames": int,
-    },
-}
 
-_DEFAULTS = {
-    "memory": {
-        "policy": Policy.RELAXED,
-        "n_sink": 2,
-        "n_history": 1,
-        "n_tail": 1,
-        "pool_size": 4,
-        "lambda": 2.0,
-        "chunk_size": 3,
-        "window_size": 21,
-        "fixed_history_position": None,
-        "bounded_cache": False,
-        "scoring_layer": None,
-    },
-    "model": {
-        "layers": 2,
-        "heads": 4,
-        "head_dim": 16,
-        "frame_tokens": 16,
-        "rotary_base": 10000.0,
-    },
-    "rollout": {
-        "total_frames": 60,
-        "seed": None,
-    },
-    "metrics": {
-        "clip_frames": DEFAULT_CLIP_FRAMES,
-    },
+def _optional_int(raw: str) -> int | None:
+    return None if raw.lower() in ("", "none") else int(raw)
+
+
+# field annotation -> parser of the raw config string
+_PARSERS = {
+    "Policy": Policy,
+    "int": int,
+    "float": float,
+    "bool": lambda v: _BOOL[v.lower()],
+    "int | None": _optional_int,
 }
+# config key of a dataclass field whose name differs from it
+_KEY_OF_FIELD = {"lam": "lambda"}
+
+
+def _keyed_fields(cls, skip=()) -> list:
+    """(config key, field) for each field of a config section's dataclass."""
+    return [
+        (_KEY_OF_FIELD.get(f.name, f.name), f) for f in fields(cls) if f.name not in skip
+    ]
+
+
+_SECTIONS = {
+    "memory": _keyed_fields(MemoryConfig),
+    "model": _keyed_fields(ModelParams),
+    "rollout": _keyed_fields(RolloutConfig, skip=("memory", "model")),
+}
+_SCHEMA = {sec: {key: _PARSERS[f.type] for key, f in fs} for sec, fs in _SECTIONS.items()}
+_DEFAULTS = {sec: {key: f.default for key, f in fs} for sec, fs in _SECTIONS.items()}
+_DEFAULTS["rollout"]["seed"] = None  # every run names its seed
+_SCHEMA["metrics"] = {"clip_frames": int}
+_DEFAULTS["metrics"] = {"clip_frames": DEFAULT_CLIP_FRAMES}
 
 
 def _parse_value(section: str, key: str, raw: str):
@@ -149,8 +118,7 @@ def build_config(settings: dict) -> RolloutConfig:
     return RolloutConfig(
         memory=MemoryConfig(**mem),
         model=ModelParams(**settings["model"]),
-        total_frames=settings["rollout"]["total_frames"],
-        seed=settings["rollout"]["seed"],
+        **settings["rollout"],
     )
 
 
@@ -328,67 +296,39 @@ def _fmt_cell(value):
     return value
 
 
-def _profile_sizes(i: int, mcfg: MemoryConfig, window_len: int) -> tuple[int, int, int]:
-    """Structural (sink, history, tail) sizes for one step, no generation."""
-    budget = mcfg.memory_budget
-    policy = mcfg.policy
-    if policy is Policy.NONE:
-        return 0, 0, 0
-    if policy is Policy.FULL:
-        return 0, 0, i
-    if policy is Policy.DENSE_WINDOW:
-        return 0, 0, window_len
-    if policy is Policy.SINK_ONLY:
-        return min(i, budget), 0, 0
-    if policy is Policy.TAIL_ONLY:
-        return 0, 0, min(i, budget)
-    if policy is Policy.ATTENTION_SINK:
-        sink = min(i, mcfg.n_sink)
-        return sink, 0, min(i - sink, mcfg.n_tail + mcfg.n_history)
-    p = partition(i, mcfg)
-    if policy is Policy.HISTORY_ONLY:
-        pool = sample_pool(restrict_candidates(p), max(mcfg.pool_size, budget))
-        if not pool:
-            return len(p.sink_ids), 0, len(p.tail_ids)
-        return 0, min(budget, len(pool)), 0
-    # relaxed
-    if mcfg.fixed_history_position is not None:
-        return len(p.sink_ids), len(fixed_history(p, mcfg)), len(p.tail_ids)
-    pool = sample_pool(restrict_candidates(p), mcfg.pool_size)
-    return len(p.sink_ids), min(mcfg.n_history, len(pool)), len(p.tail_ids)
+def _pool_selection(cfg: MemoryConfig, i: int):
+    """Frames-free twin of select_memory: the same memory sizes, with the
+    first pool frames standing in for the scored choice."""
+    p = partition(i, cfg)
+    pool = sample_pool(restrict_candidates(p), cfg.pool_size)
+    return StructuredMemory(p.sink_ids, pool[: cfg.n_history], p.tail_ids), []
 
 
-def cmd_profile(args) -> int:
-    settings = load_settings(args.config, args.set, args.seed)
-    cfg = build_config(settings)
-    mcfg = cfg.memory
-    U = mcfg.chunk_size
+def profile_rows(cfg: RolloutConfig) -> list[dict]:
+    """Structural memory sizes and cost of every step, no generation."""
+    U = cfg.memory.chunk_size
     rows = []
-    window = 0
     for step, i in enumerate(range(0, cfg.total_frames, U)):
-        if mcfg.policy is Policy.DENSE_WINDOW and window + U > mcfg.window_size:
-            window = U
-        n_s, n_h, n_t = _profile_sizes(i, mcfg, window)
-        mem = StructuredMemory(
-            sink_ids=list(range(n_s)),
-            history_ids=list(range(n_s, n_s + n_h)),
-            tail_ids=list(range(n_s + n_h, n_s + n_h + n_t)),
-        )
+        mem, _ = structured_step_memory(cfg.memory, i, _pool_selection)
         cost = count_step_cost(mem, U, cfg.model.frame_tokens, cfg.model)
         rows.append(
             {
                 "step": step,
                 "generated_before": i,
-                "n_sink": n_s,
-                "n_history": n_h,
-                "n_tail": n_t,
+                "n_sink": len(mem.sink_ids),
+                "n_history": len(mem.history_ids),
+                "n_tail": len(mem.tail_ids),
                 "attended_frames": cost.attended_frames,
                 "key_tokens": cost.key_tokens,
                 "score_ops": cost.score_ops,
             }
         )
-        if mcfg.policy is Policy.DENSE_WINDOW:
-            window += U
+    return rows
+
+
+def cmd_profile(args) -> int:
+    settings = load_settings(args.config, args.set, args.seed)
+    rows = profile_rows(build_config(settings))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_table(out / f"profile.{args.format}", args.format, settings, rows)

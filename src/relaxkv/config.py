@@ -60,6 +60,10 @@ class MemoryConfig:
             raise ConfigError("chunk_size must be >= 1")
         if self.window_size < self.chunk_size:
             raise ConfigError("window_size must be >= chunk_size")
+        if self.fixed_history_position is not None and self.fixed_history_position < 0:
+            raise ConfigError("fixed_history_position must be >= 0")
+        if self.scoring_layer is not None and self.scoring_layer < 0:
+            raise ConfigError("scoring_layer must be >= 0")
 
     @property
     def memory_budget(self) -> int:
@@ -118,4 +122,9 @@ class RolloutConfig:
             raise ConfigError(
                 "total_frames must be a multiple of chunk_size "
                 f"({self.total_frames} % {self.memory.chunk_size} != 0)"
+            )
+        layer = self.memory.scoring_layer
+        if layer is not None and layer >= self.model.layers:
+            raise ConfigError(
+                f"scoring_layer {layer} out of range for {self.model.layers} layers"
             )

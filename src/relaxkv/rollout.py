@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .memory import (
     fixed_history,
     partition,
     restrict_candidates,
-    sample_pool,
+    sample_pool,  # noqa: F401  (perfbench/spans.py wraps it by name here)
     select_memory,
 )
 from .rope import PositionPlan, relaxed_positions, window_positions
@@ -49,13 +50,20 @@ class RolloutTrace:
         return self.frame_features.shape[0]
 
 
+# select(cfg, i) -> (memory, scored): the relaxed selection at step i, as
+# select_memory computes it; cfg may be a widened copy of the run's config.
+Selector = Callable[[MemoryConfig, int], tuple[StructuredMemory, list[ScoredCandidate]]]
+
+
 def structured_step_memory(
-    cache: KVCache, generated_count: int, cfg: MemoryConfig
+    cfg: MemoryConfig, generated_count: int, select: Selector
 ) -> tuple[StructuredMemory, list[ScoredCandidate]]:
-    """Memory composition for one step of any non-windowed policy.
+    """Memory for the step after ``generated_count`` frames, for every policy.
 
     Budget-fair single-role policies (sink_only/tail_only/history_only) spend
     the full default budget (n_sink + n_history + n_tail) on their one role.
+    dense_window holds the previous window's final chunk plus every chunk
+    generated since, re-anchoring once another chunk would overflow it.
     """
     i = generated_count
     budget = cfg.memory_budget
@@ -64,6 +72,10 @@ def structured_step_memory(
         return StructuredMemory(), []
     if policy is Policy.FULL:
         return StructuredMemory(tail_ids=list(range(i))), []
+    if policy is Policy.DENSE_WINDOW:
+        U = cfg.chunk_size
+        held = U * (1 + (i // U - 1) % max(1, cfg.window_size // U - 1)) if i else 0
+        return StructuredMemory(tail_ids=list(range(i - held, i))), []
     if policy is Policy.SINK_ONLY:
         return StructuredMemory(sink_ids=list(range(min(i, budget)))), []
     if policy is Policy.TAIL_ONLY:
@@ -73,23 +85,11 @@ def structured_step_memory(
         recent = min(i - len(sink), cfg.n_tail + cfg.n_history)
         return StructuredMemory(sink_ids=sink, tail_ids=list(range(i - recent, i))), []
     if policy is Policy.HISTORY_ONLY:
-        p = partition(i, cfg)
-        pool = sample_pool(restrict_candidates(p), max(cfg.pool_size, budget))
-        if not pool:
+        wide = replace(cfg, n_history=budget, pool_size=max(cfg.pool_size, budget))
+        mem, scored = select(wide, i)
+        if not mem.history_ids:
             # warmup: dense over everything that exists, with partition roles
-            return StructuredMemory(sink_ids=p.sink_ids, tail_ids=p.tail_ids), []
-        wide = MemoryConfig(
-            n_sink=cfg.n_sink,
-            n_history=budget,
-            n_tail=cfg.n_tail,
-            pool_size=max(cfg.pool_size, budget),
-            lam=cfg.lam,
-            chunk_size=cfg.chunk_size,
-            window_size=cfg.window_size,
-            policy=Policy.RELAXED,
-            scoring_layer=cfg.scoring_layer,
-        )
-        mem, scored = select_memory(cache.frames, i, wide)
+            return mem, scored
         return StructuredMemory(history_ids=mem.history_ids), scored
     if policy is Policy.RELAXED:
         if cfg.fixed_history_position is not None:
@@ -102,8 +102,8 @@ def structured_step_memory(
                 ),
                 [],
             )
-        return select_memory(cache.frames, i, cfg)
-    raise ConfigError(f"policy {policy} is not a structured-memory policy")
+        return select(cfg, i)
+    raise ConfigError(f"unknown policy {policy}")
 
 
 def run_rollout(cfg: RolloutConfig) -> RolloutTrace:
@@ -114,27 +114,21 @@ def run_rollout(cfg: RolloutConfig) -> RolloutTrace:
     cache = KVCache()
     records: list[StepRecord] = []
     features: list[np.ndarray] = []
-    window: list[int] = []  # dense_window state
+
+    def select(c: MemoryConfig, i: int):
+        return select_memory(cache.frames, i, c)
 
     step = 0
     try:
         for step, start in enumerate(range(0, cfg.total_frames, U)):
             i = start
             chunk_ids = list(range(i, i + U))
-            if mcfg.policy is Policy.DENSE_WINDOW:
-                if len(window) + U > mcfg.window_size:
-                    # re-anchor on the previous window's final chunk
-                    window = window[-U:]
-                mem = StructuredMemory(tail_ids=list(window))
-                scored: list[ScoredCandidate] = []
-                if window:
-                    plan = window_positions(window[:U], window[U:], U, mcfg.window_size)
-                else:
-                    plan = PositionPlan(
-                        assignments=[], current_chunk_positions=list(range(U))
-                    )
+            mem, scored = structured_step_memory(mcfg, i, select)
+            window = mem.tail_ids
+            if mcfg.policy is Policy.DENSE_WINDOW and window:
+                plan = window_positions(window[:U], window[U:], U, mcfg.window_size)
             else:
-                mem, scored = structured_step_memory(cache, i, mcfg)
+                # also the first dense_window step: no memory, chunk at 0..U-1
                 plan = relaxed_positions(mem, i, U)
 
             hidden = stack.embed_chunk(chunk_ids)
@@ -144,8 +138,6 @@ def run_rollout(cfg: RolloutConfig) -> RolloutTrace:
                 for j, fid in enumerate(chunk_ids)
             ]
             append_and_evict(cache, new_frames, mcfg, i + U)
-            if mcfg.policy is Policy.DENSE_WINDOW:
-                window.extend(chunk_ids)
 
             features.extend(out.mean(axis=1))
             records.append(

@@ -22,12 +22,6 @@ class PositionPlan:
     assignments: list[tuple[int, int]]
     current_chunk_positions: list[int]
 
-    def position_of(self, frame_id: int) -> int:
-        for fid, pos in self.assignments:
-            if fid == frame_id:
-                return pos
-        raise ContractViolationError(f"frame {frame_id} not covered by the plan")
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.assignments)
 

@@ -26,6 +26,7 @@ from relaxkv import (
     restrict_candidates,
     run_rollout,
 )
+from relaxkv.cli import profile_rows
 from relaxkv.errors import CacheMissError, ContractViolationError
 from relaxkv.rope import PositionPlan
 
@@ -235,13 +236,11 @@ class TestAppendAndEvict:
         cfg = MemoryConfig()
         cache = KVCache()
         append_and_evict(cache, self.chunk_frames(rng, [0, 1]), cfg, 2)
-        assert cache.roles[0] == cache.roles[1] == "sink"
         for count in range(3, 120, 3):
             append_and_evict(
                 cache, self.chunk_frames(rng, range(count - 1, count)), cfg, count
             )
         assert {0, 1} <= set(cache.frames)
-        assert cache.roles[0] == "sink"
 
     def test_dense_window_fifo(self, rng):
         cfg = MemoryConfig(policy=Policy.DENSE_WINDOW, window_size=6)
@@ -302,17 +301,16 @@ def set_based_retention(ids, cfg, generated_count):
     return keep
 
 
-def recomputed_roles(ids, cfg, generated_count):
-    has_sink = cfg.policy not in (Policy.DENSE_WINDOW, Policy.TAIL_ONLY, Policy.NONE)
-    roles = {}
-    for fid in ids:
-        if has_sink and fid < cfg.n_sink:
-            roles[fid] = "sink"
-        elif fid >= generated_count - cfg.n_tail:
-            roles[fid] = "tail"
-        else:
-            roles[fid] = "candidate"
-    return roles
+def window_simulation(cfg, total_frames):
+    """Brute-force dense_window memory: the re-anchoring window list of every
+    step, kept as the oracle of the closed-form rule."""
+    U, window, memories = cfg.chunk_size, [], []
+    for i in range(0, total_frames, U):
+        if len(window) + U > cfg.window_size:
+            window = window[-U:]
+        memories.append(list(window))
+        window.extend(range(i, i + U))
+    return memories
 
 
 TINY = ModelParams(layers=2, heads=1, head_dim=4, frame_tokens=2)
@@ -342,27 +340,48 @@ class TestRetentionProperty:
     @given(rollout_configs())
     def test_cache_after_every_step(self, cfg):
         """After each step the cache holds every frame the next step attends,
-        exactly the set-based rule's frames plus the fixed-position history,
-        and its incrementally kept roles equal a full recomputation."""
+        exactly the set-based rule's frames plus the fixed-position history."""
         mcfg = cfg.memory
         snapshots = []
 
         def recording(cache, new_frames, mem_cfg, generated_count):
             before = [*cache.frames, *(f.id for f in new_frames)]
             append_and_evict(cache, new_frames, mem_cfg, generated_count)
-            snapshots.append((before, generated_count, list(cache.frames), dict(cache.roles)))
+            snapshots.append((before, generated_count, list(cache.frames)))
             return cache
 
         with mock.patch.object(rollout_module, "append_and_evict", recording):
             trace = run_rollout(cfg)
 
         pins = mcfg.policy is Policy.RELAXED and mcfg.fixed_history_position is not None
-        for step, (before, count, frames, roles) in enumerate(snapshots):
+        for step, (before, count, frames) in enumerate(snapshots):
             expected = set_based_retention(before, mcfg, count)
             if pins:  # what the fixed position attends next, in either half
                 expected |= set(fixed_history(partition(count, mcfg), mcfg))
             assert set(frames) == expected
-            assert roles == recomputed_roles(frames, mcfg, count)
             if step + 1 < len(trace.records):
                 assert set(trace.records[step + 1].memory.all_ids) <= set(frames)
         assert audit_history_compliance(trace) == []
+
+
+class TestProfileProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(rollout_configs())
+    def test_profile_rows_equal_rollout_records(self, cfg):
+        """Every profile row carries the rollout record's memory sizes and
+        costs, and dense_window's memory is the re-anchoring window."""
+        trace = run_rollout(cfg)
+        rows = profile_rows(cfg)
+        assert len(rows) == len(trace.records)
+        for row, rec in zip(rows, trace.records):
+            mem, cost = rec.memory, rec.cost
+            assert (
+                row["n_sink"], row["n_history"], row["n_tail"],
+                row["attended_frames"], row["key_tokens"], row["score_ops"],
+            ) == (
+                len(mem.sink_ids), len(mem.history_ids), len(mem.tail_ids),
+                cost.attended_frames, cost.key_tokens, cost.score_ops,
+            )
+        if cfg.memory.policy is Policy.DENSE_WINDOW:
+            oracle = window_simulation(cfg.memory, cfg.total_frames)
+            assert [rec.memory.tail_ids for rec in trace.records] == oracle

@@ -86,6 +86,23 @@ class TestRollout:
         err = capsys.readouterr().err
         assert "step 1 (policy relaxed): frame 0 missing from cache" in err
 
+    @pytest.mark.parametrize(
+        "setting",
+        ["memory.scoring_layer=2", "memory.scoring_layer=5",
+         "memory.scoring_layer=-1", "memory.fixed_history_position=-1",
+         "memory.fixed_history_position=-3"],
+    )
+    def test_out_of_range_index_rejected_at_config_time(self, tmp_path, capsys, setting):
+        args = ["rollout", "--seed", "1", "--out", str(tmp_path), "--set", setting]
+        assert main(args) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "rollout.json").exists()
+
+    def test_last_scoring_layer_accepted(self, tmp_path):
+        args = ["rollout", "--seed", "1", "--out", str(tmp_path),
+                "--set", "memory.scoring_layer=2", "--set", "model.layers=3"]
+        assert main(args) == 0
+
     @pytest.mark.parametrize("position", [0, 3, 10])
     def test_bounded_cache_keeps_fixed_history_frames(self, tmp_path, position):
         args = ["rollout", "--seed", "1", "--out", str(tmp_path),

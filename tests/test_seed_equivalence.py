@@ -1,0 +1,48 @@
+"""Every policy's reports match the frozen seed copy of the package.
+
+``perfbench/seedref`` holds the package as it stood when the benchmark was
+defined; ``perfbench/reference.compare_outputs`` is the benchmark's own output
+check. The benchmark times only relaxed workloads, so this test is the
+equivalence gate for the other policies. Configs whose behaviour was changed
+on purpose since the seed (bounded cache with a fixed history position, and
+the config-time rejections) are left out.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import reference  # noqa: E402
+
+from relaxkv.cli import main  # noqa: E402
+
+POLICIES = ["relaxed", "dense_window", "attention_sink", "none", "full",
+            "sink_only", "tail_only", "history_only"]
+VARIANTS = {
+    "default": [],
+    "chunk4-window6-tail3-fixed2": [
+        "memory.chunk_size=4", "memory.window_size=6", "memory.n_sink=0",
+        "memory.n_tail=3", "memory.n_history=2", "memory.pool_size=5",
+        "memory.fixed_history_position=2", "rollout.total_frames=36",
+    ],
+    "bounded-window10-layer1": [
+        "memory.bounded_cache=true", "memory.window_size=10",
+        "memory.scoring_layer=1", "rollout.total_frames=36",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", ["rollout", "profile"])
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_reports_match_seed_copy(tmp_path, command, variant):
+    seed_main = reference.seed_cli().main
+    for policy in POLICIES:
+        sets = [f"memory.policy={policy}", *VARIANTS[variant]]
+        argv = [command, "--seed", "3", *(a for s in sets for a in ("--set", s))]
+        got, ref = tmp_path / f"{policy}-got", tmp_path / f"{policy}-ref"
+        assert main([*argv, "--out", str(got)]) == 0
+        assert seed_main([*argv, "--out", str(ref)]) == 0
+        assert reference.compare_outputs(got, ref) == [], policy
