@@ -196,9 +196,8 @@ def _retention(
     # Bounded: only the restricted (second) half of the candidate region; during
     # warmup the next step still attends densely, so keep the latest chunk too.
     p = partition(i, cfg)
-    restricted = restrict_candidates(p)
-    keep_from = restricted[0] if restricted else i - len(p.tail_ids)
-    keep_from = min(keep_from, i - cfg.chunk_size)
+    # an empty restricted region starts where the tail does
+    keep_from = min(restrict_candidates(p).start, i - cfg.chunk_size)
     pinned = []
     if cfg.policy is Policy.RELAXED and cfg.fixed_history_position is not None:
         # the next step attends these candidates whichever half they lie in

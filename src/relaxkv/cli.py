@@ -301,7 +301,7 @@ def _pool_selection(cfg: MemoryConfig, i: int):
     first pool frames standing in for the scored choice."""
     p = partition(i, cfg)
     pool = sample_pool(restrict_candidates(p), cfg.pool_size)
-    return StructuredMemory(p.sink_ids, pool[: cfg.n_history], p.tail_ids), []
+    return StructuredMemory(list(p.sink_ids), pool[: cfg.n_history], list(p.tail_ids)), []
 
 
 def profile_rows(cfg: RolloutConfig) -> list[dict]:

@@ -48,9 +48,12 @@ class Frame:
 
 @dataclass(frozen=True)
 class Partition:
-    sink_ids: list[int]
-    candidate_ids: list[int]
-    tail_ids: list[int]
+    """Sink / candidate / tail id regions as ``range``s: O(1) per step to
+    build, restrict and test membership in, however long the rollout."""
+
+    sink_ids: range
+    candidate_ids: range
+    tail_ids: range
 
 
 @dataclass(frozen=True)
@@ -88,17 +91,13 @@ def partition(generated_count: int, cfg: MemoryConfig) -> Partition:
     i = generated_count
     n_tail = min(i, cfg.n_tail)
     n_sink = min(i - n_tail, cfg.n_sink)
-    return Partition(
-        sink_ids=list(range(n_sink)),
-        candidate_ids=list(range(n_sink, i - n_tail)),
-        tail_ids=list(range(i - n_tail, i)),
-    )
+    return Partition(range(n_sink), range(n_sink, i - n_tail), range(i - n_tail, i))
 
 
-def restrict_candidates(p: Partition) -> list[int]:
-    """Keep only the second half of the candidate region (order preserved)."""
-    n = len(p.candidate_ids)
-    return [h for idx, h in enumerate(p.candidate_ids) if 2 * idx >= n]
+def restrict_candidates(p: Partition) -> range:
+    """The second half of the candidate region: the last floor(n/2) of its
+    n candidates, as a range (order preserved)."""
+    return p.candidate_ids[(len(p.candidate_ids) + 1) // 2 :]
 
 
 def fixed_history(p: Partition, cfg: MemoryConfig) -> list[int]:
@@ -106,13 +105,11 @@ def fixed_history(p: Partition, cfg: MemoryConfig) -> list[int]:
     fixed 0-based position ``cfg.fixed_history_position`` of the candidate
     region, clamped to the most recent candidate when fewer exist."""
     cand = p.candidate_ids
-    if not cand:
-        return []
-    pos = min(cfg.fixed_history_position, len(cand) - 1)
-    return cand[pos : pos + cfg.n_history]
+    pos = max(0, min(cfg.fixed_history_position, len(cand) - 1))
+    return list(cand[pos : pos + cfg.n_history])
 
 
-def sample_pool(restricted: list[int], pool_size: int) -> list[int]:
+def sample_pool(restricted: range | list[int], pool_size: int) -> list[int]:
     """Deterministic evenly spaced subsample of the restricted region.
 
     Endpoints are always included; with a single slot the most recent frame
@@ -189,7 +186,7 @@ def select_history(scored: list[ScoredCandidate], k: int) -> list[int]:
 def build_memory(p: Partition, history_ids: list[int]) -> StructuredMemory:
     """Assemble sink + selected history + tail, validating the selection lies
     in the restricted candidate region."""
-    allowed = set(restrict_candidates(p))
+    allowed = restrict_candidates(p)
     outside = [h for h in history_ids if h not in allowed]
     if outside:
         raise ContractViolationError(

@@ -96,9 +96,9 @@ def structured_step_memory(
             p = partition(i, cfg)
             return (
                 StructuredMemory(
-                    sink_ids=p.sink_ids,
+                    sink_ids=list(p.sink_ids),
                     history_ids=fixed_history(p, cfg),
-                    tail_ids=p.tail_ids,
+                    tail_ids=list(p.tail_ids),
                 ),
                 [],
             )
@@ -180,14 +180,16 @@ def run_sweep(grid: list[RolloutConfig]) -> list[SweepResult]:
 
 
 def audit_history_compliance(trace: RolloutTrace) -> list[tuple[int, int]]:
-    """Post-hoc scan: every scored history selection must lie in the second
-    half of that step's candidate region. Returns (step, frame_id) violations."""
+    """Post-hoc scan: every scored history selection (relaxed, and history_only,
+    whose widened config keeps the same partition) must lie in the second half
+    of that step's candidate region. Returns (step, frame_id) violations."""
     mcfg = trace.config.memory
-    if mcfg.policy is not Policy.RELAXED or mcfg.fixed_history_position is not None:
+    fixed = mcfg.policy is Policy.RELAXED and mcfg.fixed_history_position is not None
+    if fixed or mcfg.policy not in (Policy.RELAXED, Policy.HISTORY_ONLY):
         return []
     violations = []
     for rec in trace.records:
-        allowed = set(restrict_candidates(partition(rec.generated_before, mcfg)))
+        allowed = restrict_candidates(partition(rec.generated_before, mcfg))
         for fid in rec.memory.history_ids:
             if fid not in allowed:
                 violations.append((rec.step, fid))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import relaxkv.cli as cli_module
 import relaxkv.rollout as rollout_module
 
 from relaxkv import (
@@ -28,6 +29,7 @@ from relaxkv import (
 )
 from relaxkv.cli import profile_rows
 from relaxkv.errors import CacheMissError, ContractViolationError
+from relaxkv.rollout import structured_step_memory
 from relaxkv.rope import PositionPlan
 
 SMALL = ModelParams(layers=2, heads=2, head_dim=4, frame_tokens=3)
@@ -369,10 +371,23 @@ class TestProfileProperty:
     @given(rollout_configs())
     def test_profile_rows_equal_rollout_records(self, cfg):
         """Every profile row carries the rollout record's memory sizes and
-        costs, and dense_window's memory is the re-anchoring window."""
+        costs, every memory field is a plain list, and dense_window's memory
+        is the re-anchoring window."""
         trace = run_rollout(cfg)
-        rows = profile_rows(cfg)
-        assert len(rows) == len(trace.records)
+        profiled = []
+
+        def recording(*args):
+            result = structured_step_memory(*args)
+            profiled.append(result[0])
+            return result
+
+        with mock.patch.object(cli_module, "structured_step_memory", recording):
+            rows = profile_rows(cfg)
+        assert len(rows) == len(trace.records) == len(profiled)
+        for mem in [*profiled, *(rec.memory for rec in trace.records)]:
+            assert all(
+                type(ids) is list for ids in (mem.sink_ids, mem.history_ids, mem.tail_ids)
+            )
         for row, rec in zip(rows, trace.records):
             mem, cost = rec.memory, rec.cost
             assert (

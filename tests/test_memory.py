@@ -6,6 +6,7 @@ from relaxkv import (
     MemoryConfig,
     ScoredCandidate,
     build_memory,
+    fixed_history,
     frame_prototype,
     group_prototype,
     partition,
@@ -28,19 +29,19 @@ DEFAULTS = MemoryConfig()
 class TestPartition:
     def test_steady_state(self):
         p = partition(10, DEFAULTS)
-        assert p.sink_ids == [0, 1]
-        assert p.candidate_ids == list(range(2, 9))
-        assert p.tail_ids == [9]
+        assert list(p.sink_ids) == [0, 1]
+        assert list(p.candidate_ids) == list(range(2, 9))
+        assert list(p.tail_ids) == [9]
 
     def test_warmup_tail_takes_latest(self):
         p = partition(2, DEFAULTS)
-        assert p.sink_ids == [0]
-        assert p.candidate_ids == []
-        assert p.tail_ids == [1]
+        assert list(p.sink_ids) == [0]
+        assert list(p.candidate_ids) == []
+        assert list(p.tail_ids) == [1]
 
     def test_empty(self):
         p = partition(0, DEFAULTS)
-        assert p.sink_ids == p.candidate_ids == p.tail_ids == []
+        assert list(p.sink_ids) == list(p.candidate_ids) == list(p.tail_ids) == []
 
     @given(
         i=st.integers(0, 200),
@@ -54,7 +55,7 @@ class TestPartition:
             pool_size=max(4, n_history),
         )
         p = partition(i, cfg)
-        combined = p.sink_ids + p.candidate_ids + p.tail_ids
+        combined = [*p.sink_ids, *p.candidate_ids, *p.tail_ids]
         assert combined == list(range(i))
         assert len(set(combined)) == len(combined)
 
@@ -62,22 +63,62 @@ class TestPartition:
 class TestRestrictCandidates:
     def test_odd_size(self):
         p = partition(10, DEFAULTS)
-        assert restrict_candidates(p) == [6, 7, 8]
+        assert list(restrict_candidates(p)) == [6, 7, 8]
 
     def test_even_size(self):
         cfg = MemoryConfig()
         p = partition(7, cfg)
-        assert p.candidate_ids == [2, 3, 4, 5]
-        assert restrict_candidates(p) == [4, 5]
+        assert list(p.candidate_ids) == [2, 3, 4, 5]
+        assert list(restrict_candidates(p)) == [4, 5]
 
     def test_empty(self):
-        assert restrict_candidates(partition(0, DEFAULTS)) == []
+        assert list(restrict_candidates(partition(0, DEFAULTS))) == []
 
     def test_singleton_excluded(self):
         # one candidate sits at idx 0 which is below half of size 1
         p = partition(4, DEFAULTS)
-        assert p.candidate_ids == [2]
-        assert restrict_candidates(p) == []
+        assert list(p.candidate_ids) == [2]
+        assert list(restrict_candidates(p)) == []
+
+
+def list_regions(i, cfg):
+    """The list-built partition, restriction and fixed-position history the
+    range regions replaced, kept as their oracle."""
+    n_tail = min(i, cfg.n_tail)
+    n_sink = min(i - n_tail, cfg.n_sink)
+    sink = list(range(n_sink))
+    cand = list(range(n_sink, i - n_tail))
+    tail = list(range(i - n_tail, i))
+    n = len(cand)
+    restricted = [h for idx, h in enumerate(cand) if 2 * idx >= n]
+    fixed = []
+    if cand:
+        pos = min(cfg.fixed_history_position, len(cand) - 1)
+        fixed = cand[pos : pos + cfg.n_history]
+    return sink, cand, tail, restricted, fixed
+
+
+class TestRangeRegions:
+    @given(
+        i=st.integers(0, 5000),
+        n_sink=st.integers(0, 8),
+        n_history=st.integers(0, 4),
+        n_tail=st.integers(0, 8),
+        position=st.integers(0, 12) | st.integers(0, 6000),
+    )
+    def test_ranges_equal_list_oracle(self, i, n_sink, n_history, n_tail, position):
+        cfg = MemoryConfig(
+            n_sink=n_sink, n_history=n_history, n_tail=n_tail,
+            pool_size=max(4, n_history), fixed_history_position=position,
+        )
+        p = partition(i, cfg)
+        regions = (p.sink_ids, p.candidate_ids, p.tail_ids, restrict_candidates(p))
+        assert all(type(r) is range for r in regions)
+        sink, cand, tail, restricted, fixed = list_regions(i, cfg)
+        assert [list(r) for r in regions] == [sink, cand, tail, restricted]
+        history = fixed_history(p, cfg)
+        assert type(history) is list
+        assert history == fixed
 
 
 class TestSamplePool:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from relaxkv import (
     Policy,
     RolloutConfig,
     audit_history_compliance,
+    partition,
     run_rollout,
     run_sweep,
 )
@@ -87,6 +90,18 @@ class TestRunRollout:
         for seed in range(5):
             trace = run_rollout(cfg_for(seed=seed))
             assert audit_history_compliance(trace) == []
+
+    def test_history_only_compliance_audit(self):
+        trace = run_rollout(cfg_for(policy=Policy.HISTORY_ONLY, seed=2))
+        assert audit_history_compliance(trace) == []
+        # move one step's history into the first half of its candidate region
+        k, rec = next((k, r) for k, r in enumerate(trace.records) if r.memory.history_ids)
+        oldest = partition(rec.generated_before, trace.config.memory).candidate_ids[0]
+        moved = replace(rec.memory, history_ids=[oldest, *rec.memory.history_ids[1:]])
+        records = [*trace.records[:k], replace(rec, memory=moved), *trace.records[k + 1 :]]
+        assert audit_history_compliance(replace(trace, records=records)) == [
+            (rec.step, oldest)
+        ]
 
     def test_relaxed_without_history_matches_attention_sink(self):
         relaxed = run_rollout(cfg_for(seed=3, n_history=0, pool_size=4))
