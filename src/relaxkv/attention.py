@@ -20,7 +20,7 @@ from .memory import (
     partition,
     restrict_candidates,
 )
-from .rope import PositionPlan, rotate_tokens
+from .rope import PositionPlan, rotate_tokens, rotation_tables
 
 
 @dataclass(frozen=True)
@@ -103,18 +103,19 @@ def attend_chunk(
 
     H, hd = p.heads, p.head_dim
     n_mem, n_new = len(mem_ids) * F, U * F
-    chunk_pos = np.repeat(plan.current_chunk_positions, F)[:, None]
+    # rotation of every attended token, memory then chunk, for all layers
+    frame_pos = [positions[fid] for fid in mem_ids] + plan.current_chunk_positions
+    cos, sin = rotation_tables(frame_pos, F, H, p.rotary)
     # Head-split, rotated keys and values of memory then chunk, for every
     # layer: (layers, n_mem + n_new, H, hd). The memory part is gathered from
     # the cache and rotated once per step, not once per layer.
     keys = np.empty((p.layers, n_mem + n_new, H, hd))
     values = np.empty_like(keys)
     if mem_ids:
-        mem_pos = np.repeat([positions[fid] for fid in mem_ids], F)[:, None]
         k_mem = np.stack([cache.frames[fid].keys for fid in mem_ids], axis=1)
         v_mem = np.stack([cache.frames[fid].values for fid in mem_ids], axis=1)
         keys[:, :n_mem] = rotate_tokens(
-            k_mem.reshape(p.layers, n_mem, H, hd), mem_pos, p.rotary
+            k_mem.reshape(p.layers, n_mem, H, hd), cos[:n_mem], sin[:n_mem]
         )
         values[:, :n_mem] = v_mem.reshape(p.layers, n_mem, H, hd)
 
@@ -131,7 +132,7 @@ def attend_chunk(
         new_values[layer] = v_new.reshape(U, F, d)
         # queries and chunk keys share the chunk positions: one rotation
         qk = np.stack([q, k_new]).reshape(2, n_new, H, hd)
-        q_h, k_h = rotate_tokens(qk, chunk_pos, p.rotary)
+        q_h, k_h = rotate_tokens(qk, cos[n_mem:], sin[n_mem:])
         keys[layer, n_mem:] = k_h
         values[layer, n_mem:] = v_new.reshape(n_new, H, hd)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import io
 import itertools
 import json
@@ -113,6 +114,9 @@ def load_settings(
 
 
 def build_config(settings: dict) -> RolloutConfig:
+    # here rather than in load_settings, so sweep grid points are checked too
+    if settings["metrics"]["clip_frames"] < 1:
+        raise ConfigError("metrics.clip_frames must be >= 1")
     mem = dict(settings["memory"])
     mem["lam"] = mem.pop("lambda")
     return RolloutConfig(
@@ -188,12 +192,48 @@ def trace_report(trace: RolloutTrace, settings: dict) -> dict:
             "steady_attended_frames": steady.attended_frames,
             "total_score_ops": sum(r.cost.score_ops for r in trace.records),
         },
-        "frame_features": [list(map(float, row)) for row in trace.frame_features],
+        "frame_features": trace.frame_features.tolist(),
     }
 
 
+@functools.lru_cache(maxsize=16)
+def _flat_encoder(depth: int) -> json.JSONEncoder:
+    """C encoder whose item separator starts a line at ``depth`` indents."""
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "))
+
+
+def _key(key) -> str:
+    """A dict key as json writes it, non-str keys converted as json does."""
+    if isinstance(key, str):
+        return _flat_encoder(0).encode(key)
+    return _flat_encoder(0).encode({key: 0})[1:-4]  # '{<key>: 0}'
+
+
+def _indented(obj, depth: int = 0) -> str:
+    """``json.dumps(obj, indent=2)`` nested ``depth`` levels deep. json's C
+    encoder runs only without indent, so a container of scalars is one C call
+    whose separators carry the indent; only containers of containers are walked."""
+    if isinstance(obj, dict):
+        children, brackets = obj.values(), "{}"
+    elif isinstance(obj, (list, tuple)):
+        children, brackets = obj, "[]"
+    else:
+        return _flat_encoder(0).encode(obj)
+    if not obj:
+        return brackets
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    # exact types: a container, or a subclass of a scalar, takes the walk
+    if set(map(type, children)) <= {str, int, float, bool, type(None)}:
+        parts = [_flat_encoder(depth + 1).encode(obj)[1:-1]]
+    elif isinstance(obj, dict):
+        parts = [f"{_key(k)}: {_indented(v, depth + 1)}" for k, v in obj.items()]
+    else:
+        parts = [_indented(child, depth + 1) for child in obj]
+    return brackets[0] + inner + ("," + inner).join(parts) + outer + brackets[1]
+
+
 def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    path.write_text(_indented(payload) + "\n")
 
 
 def _write_table(path: Path, fmt: str, settings: dict, rows: list[dict]):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -54,8 +55,8 @@ class MemoryConfig:
             raise ConfigError("pool_size must be >= 1")
         if self.pool_size < self.n_history:
             raise ConfigError("pool_size must be >= n_history")
-        if self.lam < 0:
-            raise ConfigError("lambda must be >= 0")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ConfigError("lambda must be a finite number >= 0")
         if self.chunk_size < 1:
             raise ConfigError("chunk_size must be >= 1")
         if self.window_size < self.chunk_size:
@@ -78,8 +79,8 @@ class RotaryParams:
     def __post_init__(self):
         if self.dim % 2 != 0 or self.dim < 2:
             raise ConfigError("rotary dim must be a positive even integer")
-        if self.base_theta <= 1:
-            raise ConfigError("rotary base must be > 1")
+        if not (math.isfinite(self.base_theta) and self.base_theta > 1):
+            raise ConfigError("rotary base must be a finite number > 1")
 
 
 @dataclass(frozen=True)
@@ -98,6 +99,7 @@ class ModelParams:
                 raise ConfigError(f"{name} must be >= 1")
         if self.head_dim % 2 != 0:
             raise ConfigError("head_dim must be even for rotary rotation")
+        self.rotary  # validates rotary_base before any step runs
 
     @property
     def d(self) -> int:

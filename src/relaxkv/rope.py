@@ -77,12 +77,6 @@ def window_positions(
     )
 
 
-def _angles(positions: np.ndarray, params: RotaryParams) -> np.ndarray:
-    half = params.dim // 2
-    inv_freq = params.base_theta ** (-2.0 * np.arange(half) / params.dim)
-    return np.asarray(positions, dtype=np.float64)[..., None] * inv_freq
-
-
 def apply_rotary(vec: np.ndarray, position: int, params: RotaryParams) -> np.ndarray:
     """Rotate dimension pairs (2j, 2j+1) by position * base^(-2j/dim)."""
     vec = np.asarray(vec, dtype=np.float64)
@@ -90,16 +84,29 @@ def apply_rotary(vec: np.ndarray, position: int, params: RotaryParams) -> np.nda
         raise ContractViolationError(
             f"vector dim {vec.shape[-1]} != rotary dim {params.dim}"
         )
-    return rotate_tokens(vec[None, :], np.array([position]), params)[0]
+    cos, sin = rotation_tables([position], 1, 1, params)
+    return rotate_tokens(vec[None, None, :], cos, sin)[0, 0]
 
 
-def rotate_tokens(
-    vecs: np.ndarray, positions: np.ndarray, params: RotaryParams
-) -> np.ndarray:
-    """Vectorized rotary rotation: vecs (n, dim), positions (n,)."""
+def rotation_tables(
+    positions: list[int], repeats: int, heads: int, params: RotaryParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of position * base^(-2j/dim), computed once per position and
+    repeated into contiguous (len(positions) * repeats, heads, dim // 2) tables."""
+    half = params.dim // 2
+    inv_freq = params.base_theta ** (-2.0 * np.arange(half) / params.dim)
+    theta = np.asarray(positions, dtype=np.float64)[:, None] * inv_freq
+    shape = (len(theta), repeats, heads, half)
+    return tuple(
+        np.broadcast_to(t[:, None, None, :], shape).copy().reshape(-1, heads, half)
+        for t in (np.cos(theta), np.sin(theta))
+    )
+
+
+def rotate_tokens(vecs: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotary rotation of vecs (..., tokens, heads, dim) by the tables of
+    rotation_tables, which match vecs' last three axes."""
     vecs = np.asarray(vecs, dtype=np.float64)
-    theta = _angles(positions, params)
-    cos, sin = np.cos(theta), np.sin(theta)
     even, odd = vecs[..., 0::2], vecs[..., 1::2]
     out = np.empty_like(vecs)
     out[..., 0::2] = even * cos - odd * sin

@@ -90,13 +90,33 @@ class TestRollout:
         "setting",
         ["memory.scoring_layer=2", "memory.scoring_layer=5",
          "memory.scoring_layer=-1", "memory.fixed_history_position=-1",
-         "memory.fixed_history_position=-3"],
+         "memory.fixed_history_position=-3",
+         "model.rotary_base=1", "model.rotary_base=0.5", "model.rotary_base=nan",
+         "model.rotary_base=inf", "metrics.clip_frames=0", "metrics.clip_frames=-1",
+         "memory.lambda=nan", "memory.lambda=inf", "memory.lambda=-1"],
     )
     def test_out_of_range_index_rejected_at_config_time(self, tmp_path, capsys, setting):
-        args = ["rollout", "--seed", "1", "--out", str(tmp_path), "--set", setting]
+        # before any step runs: no report and no output directory
+        out = tmp_path / "out"
+        for command in ("rollout", "profile"):
+            args = [command, "--seed", "1", "--out", str(out), "--set", setting]
+            assert main(args) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error") and "step 0" not in err
+            assert not out.exists()
+
+    def test_sweep_grid_point_rejected_at_config_time(self, tmp_path, monkeypatch):
+        import relaxkv.cli as cli_mod
+
+        def no_run(configs):
+            raise AssertionError("a rollout ran before every point was checked")
+
+        monkeypatch.setattr(cli_mod, "run_sweep", no_run)
+        out = tmp_path / "out"
+        args = ["sweep", "--seed", "1", "--out", str(out),
+                "--grid", "metrics.clip_frames=15,0"]
         assert main(args) == 2
-        assert "config error" in capsys.readouterr().err
-        assert not (tmp_path / "rollout.json").exists()
+        assert not out.exists()
 
     def test_last_scoring_layer_accepted(self, tmp_path):
         args = ["rollout", "--seed", "1", "--out", str(tmp_path),

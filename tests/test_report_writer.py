@@ -1,0 +1,112 @@
+"""The JSON report writer emits exactly the bytes of json.dumps(indent=2)."""
+
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import relaxkv.cli as cli
+from relaxkv.cli import main
+
+POLICIES = ["dense_window", "attention_sink", "relaxed", "none", "sink_only",
+            "tail_only", "history_only", "full"]
+
+
+def dumps_indented(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def written(obj, tmp_path) -> str:
+    path = tmp_path / "out.json"
+    cli._write_json(path, obj)
+    return path.read_text()
+
+
+floats = st.floats() | st.sampled_from(
+    [-0.0, 0.0, 1e-05, 1e16, 5e-324, 1.7976931348623157e308,
+     float("nan"), float("inf"), float("-inf")]
+)
+texts = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\n\t", "é☃\U0001f600", ""])
+scalars = (
+    st.none() | st.booleans() | floats | texts
+    | st.integers() | st.integers(min_value=2**63 - 2, max_value=2**70)
+    | st.integers(min_value=-(2**70), max_value=-(2**63))
+)
+# every key type json converts: str, int, float, bool and None
+keys = texts | st.integers() | floats | st.booleans() | st.none()
+trees = st.recursive(
+    scalars,
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.dictionaries(keys, children, max_size=5)
+    ),
+    max_leaves=40,
+)
+
+
+class TestWriterBytes:
+    @settings(max_examples=200, deadline=None)
+    @given(obj=trees)
+    def test_matches_json_dumps_indent_2(self, obj):
+        assert cli._indented(obj) + "\n" == dumps_indented(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [{}, [], (), [[]], {"a": {}}, [(), {}], [[], [[]], {"k": []}],
+         {1: [1], 2.5: {"x": ()}, True: [None], None: [-0.0], False: {}},
+         [float("nan"), float("inf"), float("-inf"), 5e-324, 1e16, 2**64]],
+        ids=repr,
+    )
+    def test_empty_and_nested_containers(self, tmp_path, obj):
+        assert written(obj, tmp_path) == dumps_indented(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [{(1, 2): 0}, {(1, 2): [0]}, [object()], {"a": [{1}]}, {"a": {"b": b"x"}}],
+        ids=["tuple-key", "tuple-key-nested", "object", "set", "bytes"],
+    )
+    def test_unencodable_raises_type_error_like_json(self, obj):
+        with pytest.raises(TypeError):
+            json.dumps(obj, indent=2)
+        with pytest.raises(TypeError):
+            cli._indented(obj)
+
+
+@pytest.fixture
+def payloads(monkeypatch):
+    """Every (path, payload) the CLI writes as JSON, in call order."""
+    seen = []
+    write = cli._write_json
+
+    def recording(path, payload):
+        seen.append((path, payload))
+        write(path, payload)
+
+    monkeypatch.setattr(cli, "_write_json", recording)
+    return seen
+
+
+def assert_reports_match(seen):
+    assert seen
+    for path, payload in seen:
+        assert path.read_text() == dumps_indented(payload)
+
+
+class TestReportBytes:
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_rollout_report(self, tmp_path, payloads, policy):
+        args = ["rollout", "--seed", "5", "--out", str(tmp_path),
+                "--set", f"memory.policy={policy}"]
+        assert main(args) == 0
+        assert_reports_match(payloads)
+
+    def test_sweep_and_compare_reports(self, tmp_path, payloads):
+        grid = "memory.policy=" + ",".join(POLICIES)
+        assert main(["sweep", "--seed", "5", "--format", "json", "--out",
+                     str(tmp_path), "--grid", grid,
+                     "--grid", "memory.n_sink=0,2"]) == 0
+        assert main(["compare", "--seed", "5", "--format", "json", "--out",
+                     str(tmp_path), "--policies", ",".join(POLICIES)]) == 0
+        assert [path.name for path, _ in payloads] == ["sweep.json", "compare.json"]
+        assert_reports_match(payloads)

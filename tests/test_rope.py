@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relaxkv import (
     RotaryParams,
@@ -13,6 +14,7 @@ from relaxkv.errors import (
     InvalidStepError,
     WindowOverflowError,
 )
+from relaxkv.rope import rotate_tokens, rotation_tables
 
 
 class TestRelaxedPositions:
@@ -122,3 +124,64 @@ class TestApplyRotary:
     def test_odd_dim_rejected(self):
         with pytest.raises(Exception):
             RotaryParams(base_theta=10000.0, dim=7)
+
+
+def per_token_rotation(vecs, frame_positions, frame_tokens, params):
+    """The rotation as it was computed before the tables: angles recomputed
+    for every token from its repeated position, cos/sin broadcast over heads."""
+    positions = np.repeat(frame_positions, frame_tokens)[:, None]
+    half = params.dim // 2
+    inv_freq = params.base_theta ** (-2.0 * np.arange(half) / params.dim)
+    theta = np.asarray(positions, dtype=np.float64)[..., None] * inv_freq
+    cos, sin = np.cos(theta), np.sin(theta)
+    even, odd = vecs[..., 0::2], vecs[..., 1::2]
+    out = np.empty_like(vecs)
+    out[..., 0::2] = even * cos - odd * sin
+    out[..., 1::2] = even * sin + odd * cos
+    return out
+
+
+class TestRotationTables:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mem_positions=st.lists(st.integers(0, 100_000), max_size=8),
+        chunk=st.integers(1, 4),
+        start=st.integers(0, 100_000),
+        heads=st.integers(1, 4),
+        frame_tokens=st.integers(1, 5),
+        layers=st.integers(1, 3),
+        half=st.integers(1, 8),
+        base=st.sampled_from([10000.0, 500.0, 1.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_exact_against_per_token_angles(
+        self, mem_positions, chunk, start, heads, frame_tokens, layers, half, base, seed
+    ):
+        params = RotaryParams(base_theta=base, dim=2 * half)
+        chunk_positions = list(range(start, start + chunk))
+        n_mem = len(mem_positions) * frame_tokens
+        n_new = chunk * frame_tokens
+        cos, sin = rotation_tables(
+            mem_positions + chunk_positions, frame_tokens, heads, params
+        )
+        assert cos.shape == sin.shape == (n_mem + n_new, heads, half)
+        assert cos.flags.c_contiguous and sin.flags.c_contiguous
+
+        rng = np.random.default_rng(seed)
+        k_mem = rng.normal(size=(layers, n_mem, heads, 2 * half))
+        qk = rng.normal(size=(2, n_new, heads, 2 * half))
+        assert np.array_equal(
+            rotate_tokens(k_mem, cos[:n_mem], sin[:n_mem]),
+            per_token_rotation(k_mem, mem_positions, frame_tokens, params),
+        )
+        assert np.array_equal(
+            rotate_tokens(qk, cos[n_mem:], sin[n_mem:]),
+            per_token_rotation(qk, chunk_positions, frame_tokens, params),
+        )
+
+    def test_apply_rotary_bit_exact(self, rng):
+        params = RotaryParams(base_theta=10000.0, dim=16)
+        for position in [0, 1, 7, 99_999]:
+            v = rng.normal(size=16)
+            expected = per_token_rotation(v[None, None, :], [position], 1, params)
+            assert np.array_equal(apply_rotary(v, position, params), expected[0, 0])
