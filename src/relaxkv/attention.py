@@ -11,14 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import MemoryConfig, ModelParams, Policy
+from .config import ModelParams
 from .errors import CacheMissError, ContractViolationError
-from .memory import (
-    Frame,
-    StructuredMemory,
-    fixed_history,
-    partition,
-    restrict_candidates,
+from .memory import Frame, StructuredMemory
+from .memory import (  # noqa: F401  (perfbench/spans.py wraps them by name here)
+    partition, restrict_candidates,
 )
 from .rope import PositionPlan, rotate_tokens, rotation_tables
 
@@ -168,57 +165,13 @@ def count_step_cost(
     )
 
 
-def _retention(
-    cfg: MemoryConfig, generated_count: int
-) -> tuple[int, int, list[int]]:
-    """Closed-form retained set once ``generated_count`` frames exist.
-
-    Returns (sink_end, keep_from, pinned): a frame is kept when
-    ``id < sink_end``, ``id >= keep_from`` or ``id in pinned``.
-    """
-    i = generated_count
-    budget = cfg.memory_budget
-    if cfg.policy is Policy.FULL:
-        return 0, 0, []
-    if cfg.policy is Policy.NONE:
-        return 0, i, []
-    if cfg.policy is Policy.DENSE_WINDOW:
-        return 0, i - cfg.window_size, []
-    if cfg.policy is Policy.SINK_ONLY:
-        return budget, i, []
-    if cfg.policy is Policy.TAIL_ONLY:
-        return 0, i - budget, []
-    if cfg.policy is Policy.ATTENTION_SINK:
-        return cfg.n_sink, i - (cfg.n_tail + cfg.n_history), []
-    # relaxed / history_only: sinks + candidate region + tail, which together
-    # are every generated frame unless the cache is bounded.
-    if not cfg.bounded_cache:
-        return 0, 0, []
-    # Bounded: only the restricted (second) half of the candidate region; during
-    # warmup the next step still attends densely, so keep the latest chunk too.
-    p = partition(i, cfg)
-    # an empty restricted region starts where the tail does
-    keep_from = min(restrict_candidates(p).start, i - cfg.chunk_size)
-    pinned = []
-    if cfg.policy is Policy.RELAXED and cfg.fixed_history_position is not None:
-        # the next step attends these candidates whichever half they lie in
-        pinned = fixed_history(p, cfg)
-    return len(p.sink_ids), keep_from, pinned
-
-
 def append_and_evict(
-    cache: KVCache, new_frames: list[Frame], cfg: MemoryConfig, generated_count: int
+    cache: KVCache, new_frames: list[Frame], expired: list[int]
 ) -> KVCache:
-    """Insert freshly generated frames and drop frames the policy can never
-    attend to again. Sink frames survive for the whole rollout."""
+    """Insert freshly generated frames, then drop the ``expired`` frames: those
+    no later step reads (see ``rollout.eviction_schedule``)."""
     for frame in new_frames:
         cache.frames[frame.id] = frame
-    sink_end, keep_from, pinned = _retention(cfg, generated_count)
-    if keep_from > sink_end:
-        doomed = [
-            fid for fid in cache.frames
-            if sink_end <= fid < keep_from and fid not in pinned
-        ]
-        for fid in doomed:
-            del cache.frames[fid]
+    for fid in expired:
+        del cache.frames[fid]
     return cache

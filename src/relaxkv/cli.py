@@ -3,7 +3,7 @@
 Config files are INI-style with one section per module; every key can be
 overridden on the command line with --set section.key=value. Reports embed
 the fully resolved config and a schema version, and are byte-identical for
-identical (config, seed).
+identical (config, seed) at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import functools
 import io
 import itertools
 import json
+import operator
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -22,7 +23,10 @@ from pathlib import Path
 from .attention import count_step_cost
 from .config import MemoryConfig, ModelParams, Policy, RolloutConfig
 from .errors import ConfigError, RelaxKVError
-from .memory import StructuredMemory, partition, restrict_candidates, sample_pool
+from .memory import StructuredMemory, step_pool
+from .memory import (  # noqa: F401  (perfbench/spans.py wraps them by name here)
+    partition, restrict_candidates, sample_pool,
+)
 from .metrics import (
     DEFAULT_CLIP_FRAMES,
     balance,
@@ -251,9 +255,10 @@ def _write_table(path: Path, fmt: str, settings: dict, rows: list[dict]):
     buf.write(f"# schema_version: {SCHEMA_VERSION}\n")
     buf.write(f"# config: {json.dumps(resolved_config_dict(settings))}\n")
     if rows:
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+        header = list(rows[0])
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(map(operator.itemgetter(*header), rows))
     path.write_text(buf.getvalue())
 
 
@@ -339,8 +344,7 @@ def _fmt_cell(value):
 def _pool_selection(cfg: MemoryConfig, i: int):
     """Frames-free twin of select_memory: the same memory sizes, with the
     first pool frames standing in for the scored choice."""
-    p = partition(i, cfg)
-    pool = sample_pool(restrict_candidates(p), cfg.pool_size)
+    p, pool = step_pool(cfg, i)
     return StructuredMemory(list(p.sink_ids), pool[: cfg.n_history], list(p.tail_ids)), []
 
 
@@ -382,6 +386,11 @@ def cmd_compare(args) -> int:
         policies.extend(p for p in chunk.split(",") if p)
     if len(policies) < 2:
         raise ConfigError("compare needs at least 2 policies")
+    if settings["rollout"]["total_frames"] < 2 * settings["metrics"]["clip_frames"]:
+        raise ConfigError(
+            "compare needs enough frames for at least 2 clips; "
+            "increase rollout.total_frames or reduce metrics.clip_frames"
+        )
 
     per_policy = []
     for name in policies:
@@ -390,11 +399,6 @@ def cmd_compare(args) -> int:
         cfg = build_config(point)
         trace = run_rollout(cfg)
         m = trace_metrics(trace, point["metrics"]["clip_frames"])
-        if m["drift"] is None:
-            raise ConfigError(
-                "compare needs enough frames for at least 2 clips; "
-                "increase rollout.total_frames or reduce metrics.clip_frames"
-            )
         steady = steady_cost(trace)
         per_policy.append(
             {

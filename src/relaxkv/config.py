@@ -41,8 +41,10 @@ class MemoryConfig:
     # this fixed 0-based position in the candidate region (clamped to the most
     # recent candidate when fewer exist).
     fixed_history_position: int | None = None
-    # When True, candidate frames that can no longer enter the restricted
-    # half of the candidate region are evicted from the cache.
+    # Every frame is evicted after the last step that reads it. When False,
+    # a relaxed or history_only selection reads every frame generated so far,
+    # so those policies keep them all; when True it reads only its sink, pool
+    # and tail.
     bounded_cache: bool = False
     # None = score with keys mean-pooled over every layer; an int designates a
     # single scoring layer.

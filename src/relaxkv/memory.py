@@ -125,6 +125,12 @@ def sample_pool(restricted: range | list[int], pool_size: int) -> list[int]:
     return [restricted[j * (n - 1) // (pool_size - 1)] for j in range(pool_size)]
 
 
+def step_pool(cfg: MemoryConfig, generated_count: int) -> tuple[Partition, list[int]]:
+    """The partition and the candidate pool scored at one step; needs no frames."""
+    p = partition(generated_count, cfg)
+    return p, sample_pool(restrict_candidates(p), cfg.pool_size)
+
+
 def _pooled_keys(frame: Frame, scoring_layer: int | None) -> np.ndarray:
     if scoring_layer is None:
         return frame.keys.reshape(-1, frame.keys.shape[-1])
@@ -204,8 +210,7 @@ def select_memory(
 ) -> tuple[StructuredMemory, list[ScoredCandidate]]:
     """Full selection pipeline for one step: partition, restrict, pool,
     prototype, score, top-k, assemble."""
-    p = partition(generated_count, cfg)
-    pool = sample_pool(restrict_candidates(p), cfg.pool_size)
+    p, pool = step_pool(cfg, generated_count)
     if not pool or cfg.n_history == 0:
         return build_memory(p, []), []
 

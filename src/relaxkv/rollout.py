@@ -25,6 +25,7 @@ from .memory import (
     restrict_candidates,
     sample_pool,  # noqa: F401  (perfbench/spans.py wraps it by name here)
     select_memory,
+    step_pool,
 )
 from .rope import PositionPlan, relaxed_positions, window_positions
 
@@ -106,12 +107,43 @@ def structured_step_memory(
     raise ConfigError(f"unknown policy {policy}")
 
 
+def eviction_schedule(cfg: MemoryConfig, total_frames: int) -> list[list[int]]:
+    """Ids of the frames each step reads for the last time, step by step.
+
+    Walks structured_step_memory over every step with a frames-free selector
+    and records the last step that reads each frame: the step's memory and,
+    when its selection scores, the sink, pool and tail whose keys
+    select_memory reads. Without ``bounded_cache`` a selection reads every
+    frame generated so far. A frame is read at least by the step that
+    generates it.
+    """
+    U = cfg.chunk_size
+    last = np.arange(total_frames) // U
+
+    def reads(c: MemoryConfig, i: int):  # called by the loop below, at its ``step``
+        p, pool = step_pool(c, i)
+        if not cfg.bounded_cache:
+            last[:i] = step
+        elif pool and c.n_history:
+            last[[*p.sink_ids, *pool, *p.tail_ids]] = step
+        return StructuredMemory(list(p.sink_ids), pool[: c.n_history], list(p.tail_ids)), []
+
+    steps = range(0, total_frames, U)
+    for step, i in enumerate(steps):
+        mem, _ = structured_step_memory(cfg, i, reads)
+        last[mem.all_ids] = step
+    order = np.argsort(last, kind="stable")
+    bounds = np.searchsorted(last[order], np.arange(1, len(steps)))
+    return [ids.tolist() for ids in np.split(order, bounds)]
+
+
 def run_rollout(cfg: RolloutConfig) -> RolloutTrace:
     """Generate cfg.total_frames frames chunk by chunk under cfg.memory.policy."""
     mcfg = cfg.memory
     U = mcfg.chunk_size
     stack = ToyAttentionStack(cfg.model, cfg.seed)
     cache = KVCache()
+    expired = eviction_schedule(mcfg, cfg.total_frames)
     records: list[StepRecord] = []
     features: list[np.ndarray] = []
 
@@ -137,7 +169,7 @@ def run_rollout(cfg: RolloutConfig) -> RolloutTrace:
                 Frame(id=fid, keys=new_keys[:, j], values=new_values[:, j])
                 for j, fid in enumerate(chunk_ids)
             ]
-            append_and_evict(cache, new_frames, mcfg, i + U)
+            append_and_evict(cache, new_frames, expired[step])
 
             features.extend(out.mean(axis=1))
             records.append(

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import relaxkv.cli as cli_module
 import relaxkv.rollout as rollout_module
@@ -29,7 +29,7 @@ from relaxkv import (
 )
 from relaxkv.cli import profile_rows
 from relaxkv.errors import CacheMissError, ContractViolationError
-from relaxkv.rollout import structured_step_memory
+from relaxkv.rollout import eviction_schedule, structured_step_memory
 from relaxkv.rope import PositionPlan
 
 SMALL = ModelParams(layers=2, heads=2, head_dim=4, frame_tokens=3)
@@ -231,37 +231,38 @@ class TestCountStepCost:
 
 
 class TestAppendAndEvict:
-    def chunk_frames(self, rng, ids, params=SMALL):
-        return [random_frame(rng, fid, params) for fid in ids]
+    def steps(self, rng, cfg, total_frames):
+        """Feed chunk after chunk through append_and_evict on the run's
+        eviction schedule; yield the step and the cache after it."""
+        cache = KVCache()
+        U = cfg.chunk_size
+        for step, expired in enumerate(eviction_schedule(cfg, total_frames)):
+            ids = range(step * U, (step + 1) * U)
+            append_and_evict(cache, [random_frame(rng, fid, SMALL) for fid in ids], expired)
+            yield step, cache
 
     def test_sinks_tagged_and_kept(self, rng):
-        cfg = MemoryConfig()
-        cache = KVCache()
-        append_and_evict(cache, self.chunk_frames(rng, [0, 1]), cfg, 2)
-        for count in range(3, 120, 3):
-            append_and_evict(
-                cache, self.chunk_frames(rng, range(count - 1, count)), cfg, count
-            )
-        assert {0, 1} <= set(cache.frames)
+        cfg = MemoryConfig(bounded_cache=True)
+        for step, cache in self.steps(rng, cfg, 120):
+            if step < 39:  # after the last step nothing is read again
+                assert {0, 1} <= set(cache.frames)
 
     def test_dense_window_fifo(self, rng):
-        cfg = MemoryConfig(policy=Policy.DENSE_WINDOW, window_size=6)
-        cache = KVCache()
-        for fid in range(6):
-            append_and_evict(cache, self.chunk_frames(rng, [fid]), cfg, fid + 1)
-        assert sorted(cache.frames) == [0, 1, 2, 3, 4, 5]
-        append_and_evict(cache, self.chunk_frames(rng, [6]), cfg, 7)
-        assert sorted(cache.frames) == [1, 2, 3, 4, 5, 6]
+        # the window re-anchors on frame 5 at step 6 and reads 5..9 until step
+        # 10, so frames 0-4 are never read after step 5
+        cfg = MemoryConfig(policy=Policy.DENSE_WINDOW, chunk_size=1, window_size=6)
+        caches = [sorted(cache.frames) for _, cache in self.steps(rng, cfg, 12)]
+        assert caches[4] == [0, 1, 2, 3, 4]
+        assert caches[5] == [5]
+        assert caches[6] == [5, 6]
+        assert caches[9] == [5, 6, 7, 8, 9]
+        assert caches[10] == [10]
 
     def test_bounded_cache_stays_within_bound(self, rng):
         cfg = MemoryConfig(bounded_cache=True)
-        cache = KVCache()
         U = cfg.chunk_size
-        for step in range(100):
-            ids = list(range(step * U, (step + 1) * U))
-            count = (step + 1) * U
-            append_and_evict(cache, self.chunk_frames(rng, ids), cfg, count)
-            p = partition(count, cfg)
+        for step, cache in self.steps(rng, cfg, 100 * U):
+            p = partition((step + 1) * U, cfg)
             bound = (
                 cfg.n_sink + len(restrict_candidates(p)) + cfg.n_tail + U
             )
@@ -269,11 +270,10 @@ class TestAppendAndEvict:
 
     def test_unbounded_cache_keeps_candidate_region(self, rng):
         cfg = MemoryConfig()
-        cache = KVCache()
-        for step in range(20):
-            ids = list(range(step * 3, (step + 1) * 3))
-            append_and_evict(cache, self.chunk_frames(rng, ids), cfg, (step + 1) * 3)
-        assert sorted(cache.frames) == list(range(60))
+        # step 20 reads the 60 frames of steps 0-19
+        for step, cache in self.steps(rng, cfg, 63):
+            if step == 19:
+                assert sorted(cache.frames) == list(range(60))
 
 
 def set_based_retention(ids, cfg, generated_count):
@@ -337,30 +337,63 @@ def rollout_configs(draw):
     return RolloutConfig(memory=mem, model=TINY, total_frames=steps * chunk, seed=3)
 
 
+def live_frames(trace, step):
+    """Brute-force live set after ``step``: every frame generated so far that a
+    later record reads, through its memory or, when it scored, the sink, pool
+    and tail whose keys selection reads (every frame so far when an unbounded
+    cache lets a scoring policy read them all)."""
+    mcfg = trace.config.memory
+    fixed = mcfg.policy is Policy.RELAXED and mcfg.fixed_history_position is not None
+    scoring = mcfg.policy in (Policy.RELAXED, Policy.HISTORY_ONLY) and not fixed
+    count = trace.records[step].generated_before + mcfg.chunk_size
+    live = set()
+    for rec in trace.records[step + 1 :]:
+        i = rec.generated_before
+        live |= set(rec.memory.all_ids)
+        if rec.scored:
+            p = partition(i, mcfg)
+            live |= {s.frame_id for s in rec.scored} | set(p.sink_ids) | set(p.tail_ids)
+        if scoring and not mcfg.bounded_cache:
+            live |= set(range(i))
+    return {f for f in live if f < count}
+
+
+def bounded_config(policy):
+    return RolloutConfig(
+        memory=MemoryConfig(policy=policy, bounded_cache=True), model=TINY,
+        total_frames=60, seed=3,
+    )
+
+
 class TestRetentionProperty:
     @settings(max_examples=150, deadline=None)
     @given(rollout_configs())
+    @example(bounded_config(Policy.RELAXED))
+    @example(bounded_config(Policy.HISTORY_ONLY))
     def test_cache_after_every_step(self, cfg):
-        """After each step the cache holds every frame the next step attends,
-        exactly the set-based rule's frames plus the fixed-position history."""
+        """After each step the cache holds exactly the frames a later step
+        reads, which cover the next step's memory and never exceed the
+        set-based rule's frames plus the fixed-position history."""
         mcfg = cfg.memory
         snapshots = []
 
-        def recording(cache, new_frames, mem_cfg, generated_count):
+        def recording(cache, new_frames, expired):
             before = [*cache.frames, *(f.id for f in new_frames)]
-            append_and_evict(cache, new_frames, mem_cfg, generated_count)
-            snapshots.append((before, generated_count, list(cache.frames)))
+            append_and_evict(cache, new_frames, expired)
+            snapshots.append((before, list(cache.frames)))
             return cache
 
         with mock.patch.object(rollout_module, "append_and_evict", recording):
             trace = run_rollout(cfg)
 
         pins = mcfg.policy is Policy.RELAXED and mcfg.fixed_history_position is not None
-        for step, (before, count, frames) in enumerate(snapshots):
-            expected = set_based_retention(before, mcfg, count)
+        for step, (before, frames) in enumerate(snapshots):
+            count = trace.records[step].generated_before + mcfg.chunk_size
+            assert set(frames) == live_frames(trace, step)
+            upper = set_based_retention(before, mcfg, count)
             if pins:  # what the fixed position attends next, in either half
-                expected |= set(fixed_history(partition(count, mcfg), mcfg))
-            assert set(frames) == expected
+                upper |= set(fixed_history(partition(count, mcfg), mcfg))
+            assert set(frames) <= upper
             if step + 1 < len(trace.records):
                 assert set(trace.records[step + 1].memory.all_ids) <= set(frames)
         assert audit_history_compliance(trace) == []

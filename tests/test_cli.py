@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -76,8 +80,8 @@ class TestRollout:
 
         evict = rollout_mod.append_and_evict
 
-        def losing_first_sink(cache, new_frames, cfg, generated_count):
-            evict(cache, new_frames, cfg, generated_count)
+        def losing_first_sink(cache, new_frames, expired):
+            evict(cache, new_frames, expired)
             cache.frames.pop(0, None)
             return cache
 
@@ -235,3 +239,37 @@ class TestCompare:
         assert main([*args, "--out", str(out_a)]) == 0
         assert main([*args, "--out", str(out_b)]) == 0
         assert (out_a / "compare.csv").read_bytes() == (out_b / "compare.csv").read_bytes()
+
+    def test_too_few_frames_rejected_before_any_rollout(self, tmp_path, monkeypatch):
+        import relaxkv.cli as cli_mod
+
+        def no_run(cfg):
+            raise AssertionError("a rollout ran before the clip check")
+
+        monkeypatch.setattr(cli_mod, "run_rollout", no_run)
+        out = tmp_path / "out"
+        args = ["compare", "--seed", "1", "--out", str(out),
+                "--policies", "full,relaxed", "--set", "metrics.clip_frames=31"]
+        assert main(args) == 2
+        assert not out.exists()
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs")
+def test_rollout_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """A relaxed report is byte-identical under 1 and 2 BLAS threads. Reports
+    are byte-identical only at a fixed thread count in general: a ``full``
+    rollout of 150 frames (``--seed 3``) writes different ``frame_features``
+    under the two."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run(
+            [sys.executable, "-m", "relaxkv", "rollout", "--seed", "3", "--out", str(out),
+             "--set", "rollout.total_frames=150"],
+            env=env, check=True,
+        )
+        reports.append((out / "rollout.json").read_bytes())
+    assert reports[0] == reports[1]
