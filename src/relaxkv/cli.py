@@ -23,7 +23,7 @@ from pathlib import Path
 from .attention import count_step_cost
 from .config import MemoryConfig, ModelParams, Policy, RolloutConfig
 from .errors import ConfigError, RelaxKVError
-from .memory import StructuredMemory, step_pool
+from .memory import StructuredMemory
 from .memory import (  # noqa: F401  (perfbench/spans.py wraps them by name here)
     partition, restrict_candidates, sample_pool,
 )
@@ -285,10 +285,7 @@ def _parse_grid(items: list[str]) -> dict[tuple[str, str], list]:
         section, key = dotted.split(".", 1)
         if (section, key) in grid:
             raise ConfigError(f"grid key {dotted} given more than once")
-        values = [_parse_value(section, key, v) for v in raw.split(",")]
-        if not values:
-            raise ConfigError(f"grid key {dotted} has no values")
-        grid[(section, key)] = values
+        grid[(section, key)] = [_parse_value(section, key, v) for v in raw.split(",")]
     return grid
 
 
@@ -341,19 +338,12 @@ def _fmt_cell(value):
     return value
 
 
-def _pool_selection(cfg: MemoryConfig, i: int):
-    """Frames-free twin of select_memory: the same memory sizes, with the
-    first pool frames standing in for the scored choice."""
-    p, pool = step_pool(cfg, i)
-    return StructuredMemory(list(p.sink_ids), pool[: cfg.n_history], list(p.tail_ids)), []
-
-
 def profile_rows(cfg: RolloutConfig) -> list[dict]:
     """Structural memory sizes and cost of every step, no generation."""
     U = cfg.memory.chunk_size
     rows = []
     for step, i in enumerate(range(0, cfg.total_frames, U)):
-        mem, _ = structured_step_memory(cfg.memory, i, _pool_selection)
+        mem, _ = structured_step_memory(cfg.memory, i)
         cost = count_step_cost(mem, U, cfg.model.frame_tokens, cfg.model)
         rows.append(
             {
@@ -392,13 +382,16 @@ def cmd_compare(args) -> int:
             "increase rollout.total_frames or reduce metrics.clip_frames"
         )
 
-    per_policy = []
+    configs = []  # every policy parsed and built before the first rollout
     for name in policies:
         point = {sec: dict(vals) for sec, vals in settings.items()}
         point["memory"]["policy"] = _parse_value("memory", "policy", name)
-        cfg = build_config(point)
+        configs.append(build_config(point))
+
+    per_policy = []
+    for name, cfg in zip(policies, configs):
         trace = run_rollout(cfg)
-        m = trace_metrics(trace, point["metrics"]["clip_frames"])
+        m = trace_metrics(trace, settings["metrics"]["clip_frames"])
         steady = steady_cost(trace)
         per_policy.append(
             {

@@ -13,6 +13,7 @@ import numpy as np
 
 from .config import MemoryConfig
 from .errors import (
+    CacheMissError,
     ContractViolationError,
     DegeneratePrototypeError,
     EmptyGroupError,
@@ -40,10 +41,6 @@ class Frame:
             raise ContractViolationError("frame must contain at least one token")
         if not (np.isfinite(self.keys).all() and np.isfinite(self.values).all()):
             raise ContractViolationError("frame contains non-finite entries")
-
-    @property
-    def tokens(self) -> int:
-        return self.keys.shape[1]
 
 
 @dataclass(frozen=True)
@@ -205,6 +202,14 @@ def build_memory(p: Partition, history_ids: list[int]) -> StructuredMemory:
     )
 
 
+def _cached(frames: dict[int, Frame], ids) -> list[Frame]:
+    """The frames of ``ids`` in order; one absent from ``frames`` is a cache miss."""
+    try:
+        return [frames[fid] for fid in ids]
+    except KeyError as exc:
+        raise CacheMissError(f"frame {exc.args[0]} missing from cache") from None
+
+
 def select_memory(
     frames: dict[int, Frame], generated_count: int, cfg: MemoryConfig
 ) -> tuple[StructuredMemory, list[ScoredCandidate]]:
@@ -214,20 +219,20 @@ def select_memory(
     if not pool or cfg.n_history == 0:
         return build_memory(p, []), []
 
-    sink_frames = [frames[i] for i in p.sink_ids]
-    tail_frames = [frames[i] for i in p.tail_ids]
+    sink_frames = _cached(frames, p.sink_ids)
+    tail_frames = _cached(frames, p.tail_ids)
     proto_sink = group_prototype(sink_frames, cfg.scoring_layer) if sink_frames else None
     proto_tail = group_prototype(tail_frames, cfg.scoring_layer) if tail_frames else None
 
     scored = [
         score_candidate(
-            h,
-            frame_prototype(frames[h], cfg.scoring_layer),
+            f.id,
+            frame_prototype(f, cfg.scoring_layer),
             proto_sink,
             proto_tail,
             cfg.lam,
         )
-        for h in pool
+        for f in _cached(frames, pool)
     ]
     history = select_history(scored, cfg.n_history)
     return build_memory(p, history), scored

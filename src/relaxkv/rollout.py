@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -51,87 +50,82 @@ class RolloutTrace:
         return self.frame_features.shape[0]
 
 
-# select(cfg, i) -> (memory, scored): the relaxed selection at step i, as
-# select_memory computes it; cfg may be a widened copy of the run's config.
-Selector = Callable[[MemoryConfig, int], tuple[StructuredMemory, list[ScoredCandidate]]]
-
-
 def structured_step_memory(
-    cfg: MemoryConfig, generated_count: int, select: Selector
-) -> tuple[StructuredMemory, list[ScoredCandidate]]:
-    """Memory for the step after ``generated_count`` frames, for every policy.
+    cfg: MemoryConfig, generated_count: int
+) -> tuple[StructuredMemory, MemoryConfig | None]:
+    """Memory for the step after ``generated_count`` frames, for every policy,
+    and the config its history is scored under (``None`` if it is not scored).
 
-    Budget-fair single-role policies (sink_only/tail_only/history_only) spend
-    the full default budget (n_sink + n_history + n_tail) on their one role.
-    dense_window holds the previous window's final chunk plus every chunk
-    generated since, re-anchoring once another chunk would overflow it.
+    Needs no frames. A scored history is stood in for by the first frames of
+    the step's pool (``memory.step_pool``), which has the size of the choice
+    ``select_memory`` makes under the returned config; run_rollout puts that
+    choice in its place. Budget-fair single-role policies
+    (sink_only/tail_only/history_only) spend the full default budget
+    (n_sink + n_history + n_tail) on their one role; history_only scores
+    under that widened budget. dense_window holds the previous window's final
+    chunk plus every chunk generated since, re-anchoring once another chunk
+    would overflow it.
     """
     i = generated_count
     budget = cfg.memory_budget
     policy = cfg.policy
     if policy is Policy.NONE:
-        return StructuredMemory(), []
+        return StructuredMemory(), None
     if policy is Policy.FULL:
-        return StructuredMemory(tail_ids=list(range(i))), []
+        return StructuredMemory(tail_ids=list(range(i))), None
     if policy is Policy.DENSE_WINDOW:
         U = cfg.chunk_size
         held = U * (1 + (i // U - 1) % max(1, cfg.window_size // U - 1)) if i else 0
-        return StructuredMemory(tail_ids=list(range(i - held, i))), []
+        return StructuredMemory(tail_ids=list(range(i - held, i))), None
     if policy is Policy.SINK_ONLY:
-        return StructuredMemory(sink_ids=list(range(min(i, budget)))), []
+        return StructuredMemory(sink_ids=list(range(min(i, budget)))), None
     if policy is Policy.TAIL_ONLY:
-        return StructuredMemory(tail_ids=list(range(max(0, i - budget), i))), []
+        return StructuredMemory(tail_ids=list(range(max(0, i - budget), i))), None
     if policy is Policy.ATTENTION_SINK:
         sink = list(range(min(i, cfg.n_sink)))
         recent = min(i - len(sink), cfg.n_tail + cfg.n_history)
-        return StructuredMemory(sink_ids=sink, tail_ids=list(range(i - recent, i))), []
+        return StructuredMemory(sink_ids=sink, tail_ids=list(range(i - recent, i))), None
     if policy is Policy.HISTORY_ONLY:
         wide = replace(cfg, n_history=budget, pool_size=max(cfg.pool_size, budget))
-        mem, scored = select(wide, i)
-        if not mem.history_ids:
+        p, pool = step_pool(wide, i)
+        if not pool:
             # warmup: dense over everything that exists, with partition roles
-            return mem, scored
-        return StructuredMemory(history_ids=mem.history_ids), scored
+            return StructuredMemory(list(p.sink_ids), [], list(p.tail_ids)), wide
+        return StructuredMemory(history_ids=pool[:budget]), wide
     if policy is Policy.RELAXED:
-        if cfg.fixed_history_position is not None:
+        if cfg.fixed_history_position is None:
+            p, pool = step_pool(cfg, i)
+            history, scoring = pool[: cfg.n_history], cfg
+        else:
             p = partition(i, cfg)
-            return (
-                StructuredMemory(
-                    sink_ids=list(p.sink_ids),
-                    history_ids=fixed_history(p, cfg),
-                    tail_ids=list(p.tail_ids),
-                ),
-                [],
-            )
-        return select(cfg, i)
+            history, scoring = fixed_history(p, cfg), None
+        return StructuredMemory(list(p.sink_ids), history, list(p.tail_ids)), scoring
     raise ConfigError(f"unknown policy {policy}")
 
 
 def eviction_schedule(cfg: MemoryConfig, total_frames: int) -> list[list[int]]:
     """Ids of the frames each step reads for the last time, step by step.
 
-    Walks structured_step_memory over every step with a frames-free selector
-    and records the last step that reads each frame: the step's memory and,
-    when its selection scores, the sink, pool and tail whose keys
-    select_memory reads. Without ``bounded_cache`` a selection reads every
-    frame generated so far. A frame is read at least by the step that
-    generates it.
+    Walks structured_step_memory over every step and records the last step
+    that reads each frame: the step's memory and, when its history is scored,
+    the sink, pool and tail whose keys select_memory reads. Without
+    ``bounded_cache`` a scored step reads every frame generated so far. A
+    frame is read at least by the step that generates it.
     """
     U = cfg.chunk_size
     last = np.arange(total_frames) // U
-
-    def reads(c: MemoryConfig, i: int):  # called by the loop below, at its ``step``
-        p, pool = step_pool(c, i)
-        if not cfg.bounded_cache:
-            last[:i] = step
-        elif pool and c.n_history:
-            last[[*p.sink_ids, *pool, *p.tail_ids]] = step
-        return StructuredMemory(list(p.sink_ids), pool[: c.n_history], list(p.tail_ids)), []
-
     steps = range(0, total_frames, U)
     for step, i in enumerate(steps):
-        mem, _ = structured_step_memory(cfg, i, reads)
+        mem, scoring = structured_step_memory(cfg, i)
         last[mem.all_ids] = step
+        if scoring is None:
+            continue
+        if not cfg.bounded_cache:
+            last[:i] = step
+            continue
+        p, pool = step_pool(scoring, i)
+        if pool and scoring.n_history:
+            last[[*p.sink_ids, *pool, *p.tail_ids]] = step
     order = np.argsort(last, kind="stable")
     bounds = np.searchsorted(last[order], np.arange(1, len(steps)))
     return [ids.tolist() for ids in np.split(order, bounds)]
@@ -147,15 +141,16 @@ def run_rollout(cfg: RolloutConfig) -> RolloutTrace:
     records: list[StepRecord] = []
     features: list[np.ndarray] = []
 
-    def select(c: MemoryConfig, i: int):
-        return select_memory(cache.frames, i, c)
-
     step = 0
     try:
         for step, start in enumerate(range(0, cfg.total_frames, U)):
             i = start
             chunk_ids = list(range(i, i + U))
-            mem, scored = structured_step_memory(mcfg, i, select)
+            mem, scoring = structured_step_memory(mcfg, i)
+            scored = []
+            if scoring is not None:
+                chosen, scored = select_memory(cache.frames, i, scoring)
+                mem = replace(mem, history_ids=chosen.history_ids)
             window = mem.tail_ids
             if mcfg.policy is Policy.DENSE_WINDOW and window:
                 plan = window_positions(window[:U], window[U:], U, mcfg.window_size)

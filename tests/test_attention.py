@@ -29,6 +29,7 @@ from relaxkv import (
 )
 from relaxkv.cli import profile_rows
 from relaxkv.errors import CacheMissError, ContractViolationError
+from relaxkv.memory import step_pool
 from relaxkv.rollout import eviction_schedule, structured_step_memory
 from relaxkv.rope import PositionPlan
 
@@ -433,3 +434,28 @@ class TestProfileProperty:
         if cfg.memory.policy is Policy.DENSE_WINDOW:
             oracle = window_simulation(cfg.memory, cfg.total_frames)
             assert [rec.memory.tail_ids for rec in trace.records] == oracle
+
+    @settings(max_examples=150, deadline=None)
+    @given(rollout_configs())
+    def test_rule_stands_in_for_the_scored_history(self, cfg):
+        """The frames-free rule fixes every record's sink and tail. Where it
+        returns a scoring config (relaxed without a fixed position, and
+        history_only), the record's history is select_memory's choice from
+        that config's pool, of the stand-in's size; elsewhere the record's
+        memory is the rule's."""
+        mcfg = cfg.memory
+        scores = mcfg.policy is Policy.HISTORY_ONLY or (
+            mcfg.policy is Policy.RELAXED and mcfg.fixed_history_position is None
+        )
+        for rec in run_rollout(cfg).records:
+            mem, scoring = structured_step_memory(mcfg, rec.generated_before)
+            assert (scoring is not None) == scores
+            assert (rec.memory.sink_ids, rec.memory.tail_ids) == (mem.sink_ids, mem.tail_ids)
+            scored = [s.frame_id for s in rec.scored]
+            if scoring is None:
+                assert rec.memory == mem and scored == []
+                continue
+            _, pool = step_pool(scoring, rec.generated_before)
+            assert len(rec.memory.history_ids) == len(mem.history_ids)
+            assert set(rec.memory.history_ids) <= set(pool)
+            assert scored == (pool if scoring.n_history else [])

@@ -90,6 +90,26 @@ class TestRollout:
         err = capsys.readouterr().err
         assert "step 1 (policy relaxed): frame 0 missing from cache" in err
 
+    def test_scored_frame_missing_from_cache_names_step_and_policy(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import relaxkv.rollout as rollout_mod
+        from relaxkv import RolloutConfig, run_rollout
+
+        rec = run_rollout(RolloutConfig(seed=1)).records[10]
+        lost = next(s.frame_id for s in rec.scored if s.frame_id not in rec.memory.all_ids)
+        schedule = rollout_mod.eviction_schedule
+
+        def expiring_early(cfg, total_frames):
+            expired = [[f for f in ids if f != lost] for ids in schedule(cfg, total_frames)]
+            expired[9].append(lost)  # gone before step 10 scores it
+            return expired
+
+        monkeypatch.setattr(rollout_mod, "eviction_schedule", expiring_early)
+        assert main(["rollout", "--seed", "1", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"step 10 (policy relaxed): frame {lost} missing from cache" in err
+
     @pytest.mark.parametrize(
         "setting",
         ["memory.scoring_layer=2", "memory.scoring_layer=5",
@@ -250,6 +270,19 @@ class TestCompare:
         out = tmp_path / "out"
         args = ["compare", "--seed", "1", "--out", str(out),
                 "--policies", "full,relaxed", "--set", "metrics.clip_frames=31"]
+        assert main(args) == 2
+        assert not out.exists()
+
+    def test_bad_policy_rejected_before_any_rollout(self, tmp_path, monkeypatch):
+        import relaxkv.cli as cli_mod
+
+        def no_run(cfg):
+            raise AssertionError("a rollout ran before every policy was parsed")
+
+        monkeypatch.setattr(cli_mod, "run_rollout", no_run)
+        out = tmp_path / "out"
+        args = ["compare", "--seed", "1", "--out", str(out),
+                "--policies", "full,relaxed,bogus"]
         assert main(args) == 2
         assert not out.exists()
 

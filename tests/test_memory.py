@@ -14,8 +14,10 @@ from relaxkv import (
     sample_pool,
     score_candidate,
     select_history,
+    select_memory,
 )
 from relaxkv.errors import (
+    CacheMissError,
     ContractViolationError,
     DegeneratePrototypeError,
     EmptyGroupError,
@@ -290,3 +292,10 @@ def test_pool_clamp_selects_whole_pool(rng):
         ScoredCandidate(fid, 0, 0, float(rng.normal())) for fid in pool
     ]
     assert select_history(scored, cfg.n_history) == sorted(pool)
+
+
+def test_select_memory_names_a_scored_frame_missing_from_cache(rng):
+    # at i=30 the defaults score the pool 16, 20, 24, 28
+    frames = {fid: make_frame(fid, [random_unit(rng, 4)]) for fid in range(30) if fid != 20}
+    with pytest.raises(CacheMissError, match="frame 20 missing from cache"):
+        select_memory(frames, 30, DEFAULTS)

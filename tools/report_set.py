@@ -1,0 +1,87 @@
+"""Write the fixed set of 244 reports used to check byte identity between
+two versions of relaxkv.
+
+    PYTHONPATH=<tree>/src python tools/report_set.py OUT
+
+Run it once per tree (for example a `git worktree` of the parent commit and
+the working tree) into two directories, then compare them with `diff -r`.
+The set is 8 policies x 10 variants x {rollout json, profile json, profile
+csv}, plus an 8-policy x n_sink {0,2} sweep and an 8-policy compare, each in
+csv and json, all with seed 1. Every call goes through `relaxkv.cli.main` and
+must exit 0.
+"""
+
+import os
+import sys
+
+# `full` rollouts write different bytes under different BLAS thread counts;
+# the setting only takes effect before numpy is imported.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+from pathlib import Path  # noqa: E402
+
+import relaxkv  # noqa: E402
+from relaxkv.cli import main  # noqa: E402
+from relaxkv.config import Policy  # noqa: E402
+
+POLICIES = [p.value for p in Policy]
+
+# variant directory -> --set overrides
+VARIANTS = {
+    "default": [],
+    "chunk1_window7": ["memory.chunk_size=1", "memory.window_size=7"],
+    "chunk4_window6": ["memory.chunk_size=4", "memory.window_size=6"],
+    "sink0_tail3": ["memory.n_sink=0", "memory.n_tail=3"],
+    "sink3_tail0_history2_pool5": [
+        "memory.n_sink=3", "memory.n_tail=0", "memory.n_history=2", "memory.pool_size=5",
+    ],
+    "bounded_90": ["memory.bounded_cache=true", "rollout.total_frames=90"],
+    "fixed2": ["memory.fixed_history_position=2"],
+    "layer1_window12": ["memory.scoring_layer=1", "memory.window_size=12"],
+    "bounded_fixed5_window10_90": [
+        "memory.bounded_cache=true", "memory.fixed_history_position=5",
+        "memory.window_size=10", "rollout.total_frames=90",
+    ],
+    "frames600_history3_pool7": [
+        "rollout.total_frames=600", "memory.n_history=3", "memory.pool_size=7",
+    ],
+}
+
+
+def _sets(overrides: list[str]) -> list[str]:
+    return [arg for item in overrides for arg in ("--set", item)]
+
+
+def calls(out: Path):
+    """Every CLI argument list of the set; each (variant, policy) pair writes
+    into its own directory, the sweep and the compare into theirs."""
+    for variant, overrides in VARIANTS.items():
+        for policy in POLICIES:
+            d = str(out / variant / policy)
+            common = ["--seed", "1", "--out", d, *_sets([f"memory.policy={policy}", *overrides])]
+            yield ["rollout", *common]
+            for fmt in ("csv", "json"):
+                yield ["profile", *common, "--format", fmt]
+    for fmt in ("csv", "json"):
+        yield ["sweep", "--seed", "1", "--out", str(out / "sweep"), "--format", fmt,
+               "--grid", "memory.policy=" + ",".join(POLICIES), "--grid", "memory.n_sink=0,2"]
+        yield ["compare", "--seed", "1", "--out", str(out / "compare"), "--format", fmt,
+               "--policies", ",".join(POLICIES)]
+
+
+def run(out: Path) -> int:
+    print(f"relaxkv from {Path(relaxkv.__file__).parent}", file=sys.stderr)
+    for argv in calls(out):
+        code = main(argv)
+        if code != 0:
+            print(f"exit {code}: relaxkv {' '.join(argv)}", file=sys.stderr)
+            return 1
+    written = sum(1 for f in out.rglob("*") if f.is_file())
+    print(f"{written} reports in {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(f"usage: {sys.argv[0]} OUT")
+    sys.exit(run(Path(sys.argv[1])))
