@@ -15,7 +15,6 @@ from .memory import (
     ScoredCandidate,
     StructuredMemory,
     build_memory,
-    fixed_history,
     frame_prototype,
     group_prototype,
     partition,
@@ -61,7 +60,6 @@ __all__ = [
     "cost_ratio",
     "count_step_cost",
     "drift",
-    "fixed_history",
     "frame_prototype",
     "group_prototype",
     "partition",

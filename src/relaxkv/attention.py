@@ -151,18 +151,20 @@ def attend_chunk(
     return h.reshape(U, F, d), new_keys, new_values, report
 
 
+def step_costs(attended, chunk: int, frame_tokens: int, params: ModelParams):
+    """Closed-form ``(attended_frames, key_tokens, score_ops)`` of steps that
+    attend ``attended`` frames, chunk included: an int, or an object array of
+    ints for many steps at once, so score ops stay exact (int64 would wrap)."""
+    key_tokens = attended * frame_tokens
+    query_tokens = chunk * frame_tokens
+    return attended, key_tokens, params.layers * params.heads * query_tokens * key_tokens
+
+
 def count_step_cost(
     mem: StructuredMemory, chunk: int, frame_tokens: int, params: ModelParams
 ) -> CostReport:
     """Closed-form cost of one step: analytic twin of attend_chunk's counter."""
-    attended = len(mem) + chunk
-    key_tokens = attended * frame_tokens
-    query_tokens = chunk * frame_tokens
-    return CostReport(
-        attended_frames=attended,
-        key_tokens=key_tokens,
-        score_ops=params.layers * params.heads * query_tokens * key_tokens,
-    )
+    return CostReport(*step_costs(len(mem) + chunk, chunk, frame_tokens, params))
 
 
 def append_and_evict(

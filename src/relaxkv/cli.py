@@ -20,7 +20,9 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .attention import count_step_cost
+import numpy as np
+
+from .attention import count_step_cost, step_costs
 from .config import MemoryConfig, ModelParams, Policy, RolloutConfig
 from .errors import ConfigError, RelaxKVError
 from .memory import StructuredMemory
@@ -34,7 +36,7 @@ from .metrics import (
     steady_cost,
     trace_metrics,
 )
-from .rollout import RolloutTrace, run_rollout, run_sweep, structured_step_memory
+from .rollout import RolloutTrace, memory_plan, run_rollout, run_sweep
 
 SCHEMA_VERSION = 1
 
@@ -240,26 +242,33 @@ def _write_json(path: Path, payload: dict):
     path.write_text(_indented(payload) + "\n")
 
 
-def _write_table(path: Path, fmt: str, settings: dict, rows: list[dict]):
+def _write_table(
+    path: Path, fmt: str, settings: dict, header: list[str], rows: list[tuple]
+):
+    """A table of ``rows``, tuples in ``header`` order, as CSV or JSON."""
     if fmt == "json":
         _write_json(
             path,
             {
                 "schema_version": SCHEMA_VERSION,
                 "config": resolved_config_dict(settings),
-                "rows": rows,
+                "rows": list(map(dict, map(zip, itertools.repeat(header), rows))),
             },
         )
         return
     buf = io.StringIO()
     buf.write(f"# schema_version: {SCHEMA_VERSION}\n")
     buf.write(f"# config: {json.dumps(resolved_config_dict(settings))}\n")
-    if rows:
-        header = list(rows[0])
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        writer.writerows(map(operator.itemgetter(*header), rows))
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
     path.write_text(buf.getvalue())
+
+
+def _dict_rows(rows: list[dict]) -> tuple[list[str], list[tuple]]:
+    """Header and value tuples of dict rows that share their keys."""
+    header = list(rows[0])
+    return header, list(map(operator.itemgetter(*header), rows))
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +337,7 @@ def cmd_sweep(args) -> int:
         rows.append(row)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_table(out / f"sweep.{args.format}", args.format, settings, rows)
+    _write_table(out / f"sweep.{args.format}", args.format, settings, *_dict_rows(rows))
     return 0
 
 
@@ -338,34 +347,29 @@ def _fmt_cell(value):
     return value
 
 
-def profile_rows(cfg: RolloutConfig) -> list[dict]:
-    """Structural memory sizes and cost of every step, no generation."""
+def profile_rows(cfg: RolloutConfig) -> tuple[list[str], list[tuple]]:
+    """Structural memory sizes and cost of every step, no generation: the
+    header and one row per step, computed for all steps at once from the
+    memory plan's columns."""
     U = cfg.memory.chunk_size
-    rows = []
-    for step, i in enumerate(range(0, cfg.total_frames, U)):
-        mem, _ = structured_step_memory(cfg.memory, i)
-        cost = count_step_cost(mem, U, cfg.model.frame_tokens, cfg.model)
-        rows.append(
-            {
-                "step": step,
-                "generated_before": i,
-                "n_sink": len(mem.sink_ids),
-                "n_history": len(mem.history_ids),
-                "n_tail": len(mem.tail_ids),
-                "attended_frames": cost.attended_frames,
-                "key_tokens": cost.key_tokens,
-                "score_ops": cost.score_ops,
-            }
-        )
-    return rows
+    plan = memory_plan(cfg.memory, np.arange(0, cfg.total_frames, U))
+    sizes = plan.sizes()
+    attended = sum(sizes) + U
+    costs = step_costs(attended.astype(object), U, cfg.model.frame_tokens, cfg.model)
+    header = [
+        "step", "generated_before", "n_sink", "n_history", "n_tail",
+        "attended_frames", "key_tokens", "score_ops",
+    ]
+    columns = [np.arange(len(plan.generated)), plan.generated, *sizes, *costs]
+    return header, list(zip(*(col.tolist() for col in columns)))
 
 
 def cmd_profile(args) -> int:
     settings = load_settings(args.config, args.set, args.seed)
-    rows = profile_rows(build_config(settings))
+    header, rows = profile_rows(build_config(settings))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_table(out / f"profile.{args.format}", args.format, settings, rows)
+    _write_table(out / f"profile.{args.format}", args.format, settings, header, rows)
     return 0
 
 
@@ -410,7 +414,9 @@ def cmd_compare(args) -> int:
         row["balance"] = b
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_table(out / f"compare.{args.format}", args.format, settings, per_policy)
+    _write_table(
+        out / f"compare.{args.format}", args.format, settings, *_dict_rows(per_policy)
+    )
     return 0
 
 

@@ -122,6 +122,8 @@ class RolloutConfig:
     def __post_init__(self):
         if self.total_frames < 1:
             raise ConfigError("total_frames must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.total_frames % self.memory.chunk_size != 0:
             raise ConfigError(
                 "total_frames must be a multiple of chunk_size "

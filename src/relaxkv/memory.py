@@ -77,33 +77,38 @@ class StructuredMemory:
         return len(self.sink_ids) + len(self.history_ids) + len(self.tail_ids)
 
 
-def partition(generated_count: int, cfg: MemoryConfig) -> Partition:
-    """Split ids 0..generated_count-1 into sink / candidate / tail regions.
+def region_bounds(generated_count, cfg: MemoryConfig):
+    """``(sink_stop, tail_start)`` of the partition after ``generated_count``
+    frames, an int or an int array: sink ``[0, sink_stop)``, candidates
+    ``[sink_stop, tail_start)``, tail ``[tail_start, generated_count)``.
 
-    Total function: while too few frames exist, the tail takes the most
-    recent frames first and the sink the earliest of the remainder.
+    While too few frames exist, the tail takes the most recent frames first
+    and the sink the earliest of the remainder.
     """
+    tail_start = generated_count - np.minimum(generated_count, cfg.n_tail)
+    return np.minimum(tail_start, cfg.n_sink), tail_start
+
+
+def second_half_start(lo, hi):
+    """Start of the second half ``[.., hi)`` of the candidates ``[lo, hi)``:
+    their last floor(n/2) of n. Ints or int arrays."""
+    return lo + (hi - lo + 1) // 2
+
+
+def partition(generated_count: int, cfg: MemoryConfig) -> Partition:
+    """Split ids 0..generated_count-1 into sink / candidate / tail regions."""
     if generated_count < 0:
         raise ContractViolationError("generated_count must be >= 0")
-    i = generated_count
-    n_tail = min(i, cfg.n_tail)
-    n_sink = min(i - n_tail, cfg.n_sink)
-    return Partition(range(n_sink), range(n_sink, i - n_tail), range(i - n_tail, i))
+    sink_stop, tail_start = region_bounds(generated_count, cfg)
+    return Partition(
+        range(sink_stop), range(sink_stop, tail_start), range(tail_start, generated_count)
+    )
 
 
 def restrict_candidates(p: Partition) -> range:
-    """The second half of the candidate region: the last floor(n/2) of its
-    n candidates, as a range (order preserved)."""
-    return p.candidate_ids[(len(p.candidate_ids) + 1) // 2 :]
-
-
-def fixed_history(p: Partition, cfg: MemoryConfig) -> list[int]:
-    """History picked without scoring: ``cfg.n_history`` candidates from the
-    fixed 0-based position ``cfg.fixed_history_position`` of the candidate
-    region, clamped to the most recent candidate when fewer exist."""
+    """The second half of the candidate region, as a range (order preserved)."""
     cand = p.candidate_ids
-    pos = max(0, min(cfg.fixed_history_position, len(cand) - 1))
-    return list(cand[pos : pos + cfg.n_history])
+    return range(second_half_start(cand.start, cand.stop), cand.stop)
 
 
 def sample_pool(restricted: range | list[int], pool_size: int) -> list[int]:
@@ -120,12 +125,6 @@ def sample_pool(restricted: range | list[int], pool_size: int) -> list[int]:
     if pool_size == 1:
         return [restricted[-1]]
     return [restricted[j * (n - 1) // (pool_size - 1)] for j in range(pool_size)]
-
-
-def step_pool(cfg: MemoryConfig, generated_count: int) -> tuple[Partition, list[int]]:
-    """The partition and the candidate pool scored at one step; needs no frames."""
-    p = partition(generated_count, cfg)
-    return p, sample_pool(restrict_candidates(p), cfg.pool_size)
 
 
 def _pooled_keys(frame: Frame, scoring_layer: int | None) -> np.ndarray:
@@ -211,11 +210,12 @@ def _cached(frames: dict[int, Frame], ids) -> list[Frame]:
 
 
 def select_memory(
-    frames: dict[int, Frame], generated_count: int, cfg: MemoryConfig
+    frames: dict[int, Frame], generated_count: int, cfg: MemoryConfig, pool: list[int]
 ) -> tuple[StructuredMemory, list[ScoredCandidate]]:
-    """Full selection pipeline for one step: partition, restrict, pool,
-    prototype, score, top-k, assemble."""
-    p, pool = step_pool(cfg, generated_count)
+    """Full selection for one step over its ``pool``, the
+    ``sample_pool`` of its restricted candidates: prototype, score, top-k,
+    assemble with the step's sink and tail."""
+    p = partition(generated_count, cfg)
     if not pool or cfg.n_history == 0:
         return build_memory(p, []), []
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,12 +20,12 @@ from .memory import (
     Frame,
     ScoredCandidate,
     StructuredMemory,
-    fixed_history,
     partition,
+    region_bounds,
     restrict_candidates,
-    sample_pool,  # noqa: F401  (perfbench/spans.py wraps it by name here)
+    sample_pool,
+    second_half_start,
     select_memory,
-    step_pool,
 )
 from .rope import PositionPlan, relaxed_positions, window_positions
 
@@ -50,84 +51,149 @@ class RolloutTrace:
         return self.frame_features.shape[0]
 
 
+@dataclass(frozen=True, eq=False)
+class MemoryPlan:
+    """The memory of every step of a run, as integer columns with one entry
+    per step, the step after ``generated`` frames:
+
+    - sink = ``range(sink_stop)``;
+    - pool = ``sample_pool(range(pool_lo, pool_hi), cfg.pool_size)`` and
+      history = ``pool[:cfg.n_history]``;
+    - tail = ``range(tail_start, generated)``.
+
+    ``cfg`` is the run's memory config, widened for history_only. When
+    ``scored``, the history is select_memory's choice from the pool under
+    ``cfg``, and ``pool[:n_history]`` stands in for it, of the same size.
+    """
+
+    cfg: MemoryConfig
+    scored: bool
+    generated: np.ndarray
+    sink_stop: np.ndarray
+    pool_lo: np.ndarray
+    pool_hi: np.ndarray
+    tail_start: np.ndarray
+
+    @property
+    def scoring(self) -> MemoryConfig | None:
+        """The config a history is scored under, or None if it is not scored."""
+        return self.cfg if self.scored else None
+
+    @functools.cached_property
+    def pools(self) -> list[list[int]]:
+        """Every step's pool, built on first use, once per plan."""
+        bounds = zip(self.pool_lo.tolist(), self.pool_hi.tolist())
+        return [sample_pool(range(lo, hi), self.cfg.pool_size) for lo, hi in bounds]
+
+    def memory(self, step: int) -> StructuredMemory:
+        """One step's memory, with ``pool[:n_history]`` as its history."""
+        i, sink_stop, tail_start = (
+            int(col[step]) for col in (self.generated, self.sink_stop, self.tail_start)
+        )
+        history = self.pools[step][: self.cfg.n_history]
+        sink, tail = list(range(sink_stop)), list(range(tail_start, i))
+        return StructuredMemory(sink, history, tail)
+
+    def sizes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every step's (sink, history, tail) sizes, without building a pool:
+        ``len(sample_pool(r, p)) == min(len(r), p)``."""
+        pool = np.minimum(self.pool_hi - self.pool_lo, self.cfg.pool_size)
+        history = np.minimum(pool, self.cfg.n_history)
+        return self.sink_stop, history, self.generated - self.tail_start
+
+
+def memory_plan(cfg: MemoryConfig, generated) -> MemoryPlan:
+    """The memory plan of the steps after ``generated`` frames (an int array),
+    for every policy, evaluated for all steps at once. Needs no frames.
+
+    Budget-fair single-role policies (sink_only/tail_only/history_only) spend
+    the full default budget (n_sink + n_history + n_tail) on their one role;
+    history_only scores under that widened budget and, while its pool is
+    empty, attends the partition's sink and tail instead. A fixed-position
+    history is the pool of its own contiguous range. dense_window holds the
+    previous window's final chunk plus every chunk generated since,
+    re-anchoring once another chunk would overflow it.
+    """
+    i = np.asarray(generated, dtype=np.int64)
+    zero = np.zeros_like(i)
+    budget = cfg.memory_budget
+    policy = cfg.policy
+    scored = False
+    if policy is Policy.NONE:
+        sink, lo, hi, tail = zero, zero, zero, i
+    elif policy is Policy.FULL:
+        sink, lo, hi, tail = zero, zero, zero, zero
+    elif policy is Policy.DENSE_WINDOW:
+        U = cfg.chunk_size
+        windows = max(1, cfg.window_size // U - 1)
+        held = np.where(i > 0, U * (1 + (i // U - 1) % windows), 0)
+        sink, lo, hi, tail = zero, zero, zero, i - held
+    elif policy is Policy.SINK_ONLY:
+        sink, lo, hi, tail = np.minimum(i, budget), zero, zero, i
+    elif policy is Policy.TAIL_ONLY:
+        sink, lo, hi, tail = zero, zero, zero, np.maximum(0, i - budget)
+    elif policy is Policy.ATTENTION_SINK:
+        sink = np.minimum(i, cfg.n_sink)
+        lo, hi, tail = zero, zero, i - np.minimum(i - sink, cfg.n_tail + cfg.n_history)
+    elif policy is Policy.HISTORY_ONLY:
+        cfg = replace(cfg, n_history=budget, pool_size=max(cfg.pool_size, budget))
+        sink, tail = region_bounds(i, cfg)
+        lo, hi, scored = second_half_start(sink, tail), tail, True
+        warmup = lo == hi  # an empty pool: the partition's roles, no history
+        sink, tail = np.where(warmup, sink, 0), np.where(warmup, tail, i)
+    elif policy is Policy.RELAXED:
+        sink, tail = region_bounds(i, cfg)
+        if cfg.fixed_history_position is None:
+            lo, hi, scored = second_half_start(sink, tail), tail, True
+        else:
+            # clamped to the most recent candidate when fewer exist
+            last = np.maximum(0, tail - sink - 1)
+            lo = sink + np.minimum(cfg.fixed_history_position, last)
+            hi = np.minimum(lo + cfg.n_history, tail)
+    else:
+        raise ConfigError(f"unknown policy {policy}")
+    return MemoryPlan(cfg, scored, i, sink, lo, hi, tail)
+
+
 def structured_step_memory(
     cfg: MemoryConfig, generated_count: int
 ) -> tuple[StructuredMemory, MemoryConfig | None]:
-    """Memory for the step after ``generated_count`` frames, for every policy,
-    and the config its history is scored under (``None`` if it is not scored).
+    """One step of the memory plan: the memory for the step after
+    ``generated_count`` frames and the config its history is scored under
+    (``None`` if it is not scored)."""
+    plan = memory_plan(cfg, [generated_count])
+    return plan.memory(0), plan.scoring
 
-    Needs no frames. A scored history is stood in for by the first frames of
-    the step's pool (``memory.step_pool``), which has the size of the choice
-    ``select_memory`` makes under the returned config; run_rollout puts that
-    choice in its place. Budget-fair single-role policies
-    (sink_only/tail_only/history_only) spend the full default budget
-    (n_sink + n_history + n_tail) on their one role; history_only scores
-    under that widened budget. dense_window holds the previous window's final
-    chunk plus every chunk generated since, re-anchoring once another chunk
-    would overflow it.
+
+def eviction_schedule(plan: MemoryPlan) -> list[list[int]]:
+    """Ids of the frames each step reads for the last time, step by step, for
+    the plan of a whole run (frames generated 0, U, 2U, ...).
+
+    Records the last step that reads each frame: the step's memory and, when
+    its history is scored, the sink, pool and tail whose keys select_memory
+    reads. Without ``bounded_cache`` a scored step reads every frame
+    generated so far. A frame is read at least by the step that generates it.
     """
-    i = generated_count
-    budget = cfg.memory_budget
-    policy = cfg.policy
-    if policy is Policy.NONE:
-        return StructuredMemory(), None
-    if policy is Policy.FULL:
-        return StructuredMemory(tail_ids=list(range(i))), None
-    if policy is Policy.DENSE_WINDOW:
-        U = cfg.chunk_size
-        held = U * (1 + (i // U - 1) % max(1, cfg.window_size // U - 1)) if i else 0
-        return StructuredMemory(tail_ids=list(range(i - held, i))), None
-    if policy is Policy.SINK_ONLY:
-        return StructuredMemory(sink_ids=list(range(min(i, budget)))), None
-    if policy is Policy.TAIL_ONLY:
-        return StructuredMemory(tail_ids=list(range(max(0, i - budget), i))), None
-    if policy is Policy.ATTENTION_SINK:
-        sink = list(range(min(i, cfg.n_sink)))
-        recent = min(i - len(sink), cfg.n_tail + cfg.n_history)
-        return StructuredMemory(sink_ids=sink, tail_ids=list(range(i - recent, i))), None
-    if policy is Policy.HISTORY_ONLY:
-        wide = replace(cfg, n_history=budget, pool_size=max(cfg.pool_size, budget))
-        p, pool = step_pool(wide, i)
-        if not pool:
-            # warmup: dense over everything that exists, with partition roles
-            return StructuredMemory(list(p.sink_ids), [], list(p.tail_ids)), wide
-        return StructuredMemory(history_ids=pool[:budget]), wide
-    if policy is Policy.RELAXED:
-        if cfg.fixed_history_position is None:
-            p, pool = step_pool(cfg, i)
-            history, scoring = pool[: cfg.n_history], cfg
-        else:
-            p = partition(i, cfg)
-            history, scoring = fixed_history(p, cfg), None
-        return StructuredMemory(list(p.sink_ids), history, list(p.tail_ids)), scoring
-    raise ConfigError(f"unknown policy {policy}")
-
-
-def eviction_schedule(cfg: MemoryConfig, total_frames: int) -> list[list[int]]:
-    """Ids of the frames each step reads for the last time, step by step.
-
-    Walks structured_step_memory over every step and records the last step
-    that reads each frame: the step's memory and, when its history is scored,
-    the sink, pool and tail whose keys select_memory reads. Without
-    ``bounded_cache`` a scored step reads every frame generated so far. A
-    frame is read at least by the step that generates it.
-    """
+    cfg = plan.cfg
     U = cfg.chunk_size
-    last = np.arange(total_frames) // U
-    steps = range(0, total_frames, U)
-    for step, i in enumerate(steps):
-        mem, scoring = structured_step_memory(cfg, i)
-        last[mem.all_ids] = step
-        if scoring is None:
-            continue
-        if not cfg.bounded_cache:
+    last = np.arange(len(plan.generated) * U) // U
+    # the partition whose sink and tail select_memory reads
+    score_sink, score_tail = region_bounds(plan.generated, cfg)
+    reads_pool = plan.scored and cfg.bounded_cache and cfg.n_history > 0
+    columns = (plan.generated, plan.sink_stop, plan.tail_start, score_sink, score_tail)
+    rows = zip(*(col.tolist() for col in columns), plan.pools)
+    for step, (i, sink_stop, tail_start, sink_s, tail_s, pool) in enumerate(rows):
+        last[:sink_stop] = step
+        last[pool[: cfg.n_history]] = step
+        last[tail_start:i] = step
+        if plan.scored and not cfg.bounded_cache:
             last[:i] = step
-            continue
-        p, pool = step_pool(scoring, i)
-        if pool and scoring.n_history:
-            last[[*p.sink_ids, *pool, *p.tail_ids]] = step
+        elif reads_pool and pool:
+            last[:sink_s] = step
+            last[pool] = step
+            last[tail_s:i] = step
     order = np.argsort(last, kind="stable")
-    bounds = np.searchsorted(last[order], np.arange(1, len(steps)))
+    bounds = np.searchsorted(last[order], np.arange(1, len(plan.generated)))
     return [ids.tolist() for ids in np.split(order, bounds)]
 
 
@@ -137,29 +203,32 @@ def run_rollout(cfg: RolloutConfig) -> RolloutTrace:
     U = mcfg.chunk_size
     stack = ToyAttentionStack(cfg.model, cfg.seed)
     cache = KVCache()
-    expired = eviction_schedule(mcfg, cfg.total_frames)
+    plan = memory_plan(mcfg, np.arange(0, cfg.total_frames, U))
+    expired = eviction_schedule(plan)
     records: list[StepRecord] = []
     features: list[np.ndarray] = []
 
     step = 0
     try:
-        for step, start in enumerate(range(0, cfg.total_frames, U)):
-            i = start
+        for step, i in enumerate(plan.generated.tolist()):
             chunk_ids = list(range(i, i + U))
-            mem, scoring = structured_step_memory(mcfg, i)
+            mem = plan.memory(step)
             scored = []
-            if scoring is not None:
-                chosen, scored = select_memory(cache.frames, i, scoring)
+            if plan.scored:
+                pool = plan.pools[step]
+                chosen, scored = select_memory(cache.frames, i, plan.cfg, pool)
                 mem = replace(mem, history_ids=chosen.history_ids)
             window = mem.tail_ids
             if mcfg.policy is Policy.DENSE_WINDOW and window:
-                plan = window_positions(window[:U], window[U:], U, mcfg.window_size)
+                positions = window_positions(window[:U], window[U:], U, mcfg.window_size)
             else:
                 # also the first dense_window step: no memory, chunk at 0..U-1
-                plan = relaxed_positions(mem, i, U)
+                positions = relaxed_positions(mem, i, U)
 
             hidden = stack.embed_chunk(chunk_ids)
-            out, new_keys, new_values, cost = attend_chunk(hidden, mem, plan, cache, stack)
+            out, new_keys, new_values, cost = attend_chunk(
+                hidden, mem, positions, cache, stack
+            )
             new_frames = [
                 Frame(id=fid, keys=new_keys[:, j], values=new_values[:, j])
                 for j, fid in enumerate(chunk_ids)
@@ -173,7 +242,7 @@ def run_rollout(cfg: RolloutConfig) -> RolloutTrace:
                     generated_before=i,
                     memory=mem,
                     scored=scored,
-                    plan=plan,
+                    plan=positions,
                     cost=cost,
                 )
             )

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import relaxkv.cli as cli_module
 import relaxkv.rollout as rollout_module
 
 from relaxkv import (
@@ -21,17 +20,18 @@ from relaxkv import (
     attend_chunk,
     audit_history_compliance,
     count_step_cost,
-    fixed_history,
     partition,
     relaxed_positions,
     restrict_candidates,
     run_rollout,
+    sample_pool,
 )
 from relaxkv.cli import profile_rows
 from relaxkv.errors import CacheMissError, ContractViolationError
-from relaxkv.memory import step_pool
-from relaxkv.rollout import eviction_schedule, structured_step_memory
+from relaxkv.rollout import eviction_schedule, memory_plan, structured_step_memory
 from relaxkv.rope import PositionPlan
+
+from test_memory import list_regions
 
 SMALL = ModelParams(layers=2, heads=2, head_dim=4, frame_tokens=3)
 
@@ -237,7 +237,8 @@ class TestAppendAndEvict:
         eviction schedule; yield the step and the cache after it."""
         cache = KVCache()
         U = cfg.chunk_size
-        for step, expired in enumerate(eviction_schedule(cfg, total_frames)):
+        plan = memory_plan(cfg, np.arange(0, total_frames, U))
+        for step, expired in enumerate(eviction_schedule(plan)):
             ids = range(step * U, (step + 1) * U)
             append_and_evict(cache, [random_frame(rng, fid, SMALL) for fid in ids], expired)
             yield step, cache
@@ -321,7 +322,7 @@ TINY = ModelParams(layers=2, heads=1, head_dim=4, frame_tokens=2)
 
 @st.composite
 def rollout_configs(draw):
-    chunk = draw(st.integers(1, 4))
+    chunk = draw(st.integers(1, 5))
     n_history = draw(st.integers(0, 2))
     mem = MemoryConfig(
         policy=draw(st.sampled_from(list(Policy))),
@@ -393,7 +394,7 @@ class TestRetentionProperty:
             assert set(frames) == live_frames(trace, step)
             upper = set_based_retention(before, mcfg, count)
             if pins:  # what the fixed position attends next, in either half
-                upper |= set(fixed_history(partition(count, mcfg), mcfg))
+                upper |= set(list_regions(count, mcfg)[4])
             assert set(frames) <= upper
             if step + 1 < len(trace.records):
                 assert set(trace.records[step + 1].memory.all_ids) <= set(frames)
@@ -408,29 +409,24 @@ class TestProfileProperty:
         costs, every memory field is a plain list, and dense_window's memory
         is the re-anchoring window."""
         trace = run_rollout(cfg)
-        profiled = []
-
-        def recording(*args):
-            result = structured_step_memory(*args)
-            profiled.append(result[0])
-            return result
-
-        with mock.patch.object(cli_module, "structured_step_memory", recording):
-            rows = profile_rows(cfg)
-        assert len(rows) == len(trace.records) == len(profiled)
-        for mem in [*profiled, *(rec.memory for rec in trace.records)]:
+        header, rows = profile_rows(cfg)
+        assert len(rows) == len(trace.records)
+        for row, rec in zip(rows, trace.records):
+            row = dict(zip(header, row))
+            mem, cost = rec.memory, rec.cost
             assert all(
                 type(ids) is list for ids in (mem.sink_ids, mem.history_ids, mem.tail_ids)
             )
-        for row, rec in zip(rows, trace.records):
-            mem, cost = rec.memory, rec.cost
             assert (
+                row["step"], row["generated_before"],
                 row["n_sink"], row["n_history"], row["n_tail"],
                 row["attended_frames"], row["key_tokens"], row["score_ops"],
             ) == (
+                rec.step, rec.generated_before,
                 len(mem.sink_ids), len(mem.history_ids), len(mem.tail_ids),
                 cost.attended_frames, cost.key_tokens, cost.score_ops,
             )
+            assert all(type(value) is int for value in row.values())
         if cfg.memory.policy is Policy.DENSE_WINDOW:
             oracle = window_simulation(cfg.memory, cfg.total_frames)
             assert [rec.memory.tail_ids for rec in trace.records] == oracle
@@ -455,7 +451,8 @@ class TestProfileProperty:
             if scoring is None:
                 assert rec.memory == mem and scored == []
                 continue
-            _, pool = step_pool(scoring, rec.generated_before)
+            p = partition(rec.generated_before, scoring)
+            pool = sample_pool(restrict_candidates(p), scoring.pool_size)
             assert len(rec.memory.history_ids) == len(mem.history_ids)
             assert set(rec.memory.history_ids) <= set(pool)
             assert scored == (pool if scoring.n_history else [])

@@ -100,8 +100,8 @@ class TestRollout:
         lost = next(s.frame_id for s in rec.scored if s.frame_id not in rec.memory.all_ids)
         schedule = rollout_mod.eviction_schedule
 
-        def expiring_early(cfg, total_frames):
-            expired = [[f for f in ids if f != lost] for ids in schedule(cfg, total_frames)]
+        def expiring_early(plan):
+            expired = [[f for f in ids if f != lost] for ids in schedule(plan)]
             expired[9].append(lost)  # gone before step 10 scores it
             return expired
 
@@ -117,13 +117,18 @@ class TestRollout:
          "memory.fixed_history_position=-3",
          "model.rotary_base=1", "model.rotary_base=0.5", "model.rotary_base=nan",
          "model.rotary_base=inf", "metrics.clip_frames=0", "metrics.clip_frames=-1",
-         "memory.lambda=nan", "memory.lambda=inf", "memory.lambda=-1"],
+         "memory.lambda=nan", "memory.lambda=inf", "memory.lambda=-1",
+         "rollout.seed=-2", "--seed=-1"],
     )
     def test_out_of_range_index_rejected_at_config_time(self, tmp_path, capsys, setting):
         # before any step runs: no report and no output directory
         out = tmp_path / "out"
-        for command in ("rollout", "profile"):
-            args = [command, "--seed", "1", "--out", str(out), "--set", setting]
+        option = [setting] if setting.startswith("--") else ["--set", setting]
+        for command in (
+            ["rollout"], ["profile"], ["sweep", "--grid", "memory.n_sink=1,2"],
+            ["compare", "--policies", "relaxed,full"],
+        ):
+            args = [*command, "--out", str(out), "--set", "rollout.seed=1", *option]
             assert main(args) == 2
             err = capsys.readouterr().err
             assert err.startswith("config error") and "step 0" not in err
@@ -220,6 +225,21 @@ class TestProfile:
         report = json.loads((tmp_path / "rollout.json").read_text())
         for prow, step in zip(prof, report["steps"]):
             assert int(prow["attended_frames"]) == step["attended_frames"]
+
+
+    def test_costs_are_exact_integers(self, tmp_path):
+        # 2**31 tokens per frame: score ops pass 2**63, where int64 would wrap
+        args = ["--seed", "1", "--set", "model.frame_tokens=2147483648",
+                "--set", "rollout.total_frames=30", "--out", str(tmp_path)]
+        assert main(["profile", *args]) == 0
+        assert main(["profile", "--format", "json", *args]) == 0
+        csv_rows = read_csv(tmp_path / "profile.csv")
+        json_rows = json.loads((tmp_path / "profile.json").read_text())["rows"]
+        csv_ints = [{key: int(value) for key, value in row.items()} for row in csv_rows]
+        for rows in (csv_ints, json_rows):
+            assert [row["key_tokens"] for row in rows[-2:]] == [15032385536] * 2
+            assert [row["score_ops"] for row in rows[-2:]] == [774763251095801167872] * 2
+            assert rows[0]["score_ops"] == 2 * 4 * (3 * 2**31) * (3 * 2**31)
 
 
 class TestCompare:

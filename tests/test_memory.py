@@ -6,7 +6,6 @@ from relaxkv import (
     MemoryConfig,
     ScoredCandidate,
     build_memory,
-    fixed_history,
     frame_prototype,
     group_prototype,
     partition,
@@ -22,6 +21,7 @@ from relaxkv.errors import (
     DegeneratePrototypeError,
     EmptyGroupError,
 )
+from relaxkv.rollout import structured_step_memory
 
 from conftest import make_frame, random_unit
 
@@ -118,7 +118,8 @@ class TestRangeRegions:
         assert all(type(r) is range for r in regions)
         sink, cand, tail, restricted, fixed = list_regions(i, cfg)
         assert [list(r) for r in regions] == [sink, cand, tail, restricted]
-        history = fixed_history(p, cfg)
+        # the memory plan's fixed-position history, one step of it
+        history = structured_step_memory(cfg, i)[0].history_ids
         assert type(history) is list
         assert history == fixed
 
@@ -298,4 +299,4 @@ def test_select_memory_names_a_scored_frame_missing_from_cache(rng):
     # at i=30 the defaults score the pool 16, 20, 24, 28
     frames = {fid: make_frame(fid, [random_unit(rng, 4)]) for fid in range(30) if fid != 20}
     with pytest.raises(CacheMissError, match="frame 20 missing from cache"):
-        select_memory(frames, 30, DEFAULTS)
+        select_memory(frames, 30, DEFAULTS, [16, 20, 24, 28])

@@ -1,0 +1,186 @@
+"""The memory plan against the per-step rule it replaced, kept here as the oracle."""
+
+from dataclasses import replace
+from unittest import mock
+
+import numpy as np
+from hypothesis import example, given, settings
+
+import relaxkv.memory as memory_module
+import relaxkv.rollout as rollout_module
+from relaxkv import (
+    MemoryConfig,
+    ModelParams,
+    Policy,
+    RolloutConfig,
+    StructuredMemory,
+    run_rollout,
+    sample_pool,
+)
+from relaxkv.cli import profile_rows
+from relaxkv.rollout import eviction_schedule, memory_plan, structured_step_memory
+
+from test_attention import TINY, bounded_config, rollout_configs
+
+
+def oracle_partition(i, cfg):
+    n_tail = min(i, cfg.n_tail)
+    n_sink = min(i - n_tail, cfg.n_sink)
+    return range(n_sink), range(n_sink, i - n_tail), range(i - n_tail, i)
+
+
+def oracle_step_pool(cfg, i):
+    sink, cand, tail = oracle_partition(i, cfg)
+    return (sink, cand, tail), sample_pool(cand[(len(cand) + 1) // 2 :], cfg.pool_size)
+
+
+def oracle_step_memory(cfg, i):
+    """The per-step memory rule: the step's memory, with ``pool[:n_history]``
+    standing in for a scored history, and the config it is scored under."""
+    budget = cfg.memory_budget
+    policy = cfg.policy
+    if policy is Policy.NONE:
+        return StructuredMemory(), None
+    if policy is Policy.FULL:
+        return StructuredMemory(tail_ids=list(range(i))), None
+    if policy is Policy.DENSE_WINDOW:
+        U = cfg.chunk_size
+        held = U * (1 + (i // U - 1) % max(1, cfg.window_size // U - 1)) if i else 0
+        return StructuredMemory(tail_ids=list(range(i - held, i))), None
+    if policy is Policy.SINK_ONLY:
+        return StructuredMemory(sink_ids=list(range(min(i, budget)))), None
+    if policy is Policy.TAIL_ONLY:
+        return StructuredMemory(tail_ids=list(range(max(0, i - budget), i))), None
+    if policy is Policy.ATTENTION_SINK:
+        sink = list(range(min(i, cfg.n_sink)))
+        recent = min(i - len(sink), cfg.n_tail + cfg.n_history)
+        return StructuredMemory(sink_ids=sink, tail_ids=list(range(i - recent, i))), None
+    if policy is Policy.HISTORY_ONLY:
+        wide = replace(cfg, n_history=budget, pool_size=max(cfg.pool_size, budget))
+        (sink, _, tail), pool = oracle_step_pool(wide, i)
+        if not pool:
+            return StructuredMemory(list(sink), [], list(tail)), wide
+        return StructuredMemory(history_ids=pool[:budget]), wide
+    assert policy is Policy.RELAXED
+    if cfg.fixed_history_position is None:
+        (sink, _, tail), pool = oracle_step_pool(cfg, i)
+        return StructuredMemory(list(sink), pool[: cfg.n_history], list(tail)), cfg
+    sink, cand, tail = oracle_partition(i, cfg)
+    pos = max(0, min(cfg.fixed_history_position, len(cand) - 1))
+    history = list(cand[pos : pos + cfg.n_history])
+    return StructuredMemory(list(sink), history, list(tail)), None
+
+
+def oracle_eviction_schedule(cfg, total_frames):
+    U = cfg.chunk_size
+    last = np.arange(total_frames) // U
+    steps = range(0, total_frames, U)
+    for step, i in enumerate(steps):
+        mem, scoring = oracle_step_memory(cfg, i)
+        last[mem.all_ids] = step
+        if scoring is None:
+            continue
+        if not cfg.bounded_cache:
+            last[:i] = step
+            continue
+        (sink, _, tail), pool = oracle_step_pool(scoring, i)
+        if pool and scoring.n_history:
+            last[[*sink, *pool, *tail]] = step
+    order = np.argsort(last, kind="stable")
+    bounds = np.searchsorted(last[order], np.arange(1, len(steps)))
+    return [ids.tolist() for ids in np.split(order, bounds)]
+
+
+def oracle_profile_rows(cfg):
+    U, model = cfg.memory.chunk_size, cfg.model
+    F = model.frame_tokens
+    rows = []
+    for step, i in enumerate(range(0, cfg.total_frames, U)):
+        mem, _ = oracle_step_memory(cfg.memory, i)
+        attended = len(mem) + U
+        rows.append((
+            step, i, len(mem.sink_ids), len(mem.history_ids), len(mem.tail_ids),
+            attended, attended * F, model.layers * model.heads * (U * F) * (attended * F),
+        ))
+    return rows
+
+
+def long_config(policy, **memory):
+    """A config whose regions, pools and windows all pass their warmup."""
+    return RolloutConfig(
+        memory=MemoryConfig(policy=policy, **memory), model=TINY, total_frames=240, seed=3
+    )
+
+
+class TestMemoryPlan:
+    @settings(max_examples=300, deadline=None)
+    @given(rollout_configs())
+    @example(long_config(Policy.RELAXED, bounded_cache=True, n_history=2, pool_size=5))
+    @example(long_config(Policy.RELAXED, fixed_history_position=7, n_history=2))
+    @example(long_config(Policy.HISTORY_ONLY, bounded_cache=True))
+    @example(long_config(Policy.DENSE_WINDOW, chunk_size=2, window_size=9))
+    def test_plan_equals_the_per_step_rule(self, cfg):
+        """Every step's memory, scoring config and pool, the eviction
+        schedule and the profile rows equal the per-step rule's."""
+        mcfg = cfg.memory
+        plan = memory_plan(mcfg, np.arange(0, cfg.total_frames, mcfg.chunk_size))
+        for step, i in enumerate(range(0, cfg.total_frames, mcfg.chunk_size)):
+            mem, scoring = oracle_step_memory(mcfg, i)
+            assert plan.memory(step) == mem
+            assert plan.scoring == scoring
+            assert structured_step_memory(mcfg, i) == (mem, scoring)
+            if scoring is not None:
+                assert plan.pools[step] == oracle_step_pool(scoring, i)[1]
+        assert eviction_schedule(plan) == oracle_eviction_schedule(mcfg, cfg.total_frames)
+        header, rows = profile_rows(cfg)
+        assert header == [
+            "step", "generated_before", "n_sink", "n_history", "n_tail",
+            "attended_frames", "key_tokens", "score_ops",
+        ]
+        assert rows == oracle_profile_rows(cfg)
+
+    def test_profile_costs_stay_exact_past_int64(self):
+        model = ModelParams(frame_tokens=2**31, layers=3)
+        for policy in Policy:
+            cfg = replace(long_config(policy), model=model)
+            rows = profile_rows(cfg)[1]
+            assert rows == oracle_profile_rows(cfg)
+            assert all(type(value) is int for row in rows for value in row)
+
+
+class TestOnePoolPerScoredStep:
+    @given(rollout_configs())
+    @example(bounded_config(Policy.RELAXED))
+    @example(bounded_config(Policy.HISTORY_ONLY))
+    @settings(max_examples=40, deadline=None)
+    def test_rollout_builds_each_pool_once(self, cfg):
+        """A rollout samples each step's pool once, for the step's memory, the
+        eviction schedule and the selection alike, and a scored step builds
+        its partition once, in select_memory."""
+        calls = {"sample_pool": 0, "partition": 0, "select_memory": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        pool = counting("sample_pool", sample_pool)
+        part = counting("partition", memory_module.partition)
+        select = counting("select_memory", memory_module.select_memory)
+        with mock.patch.object(memory_module, "sample_pool", pool), \
+                mock.patch.object(rollout_module, "sample_pool", pool), \
+                mock.patch.object(memory_module, "partition", part), \
+                mock.patch.object(rollout_module, "partition", part), \
+                mock.patch.object(rollout_module, "select_memory", select):
+            trace = run_rollout(cfg)
+        steps = len(trace.records)
+        mcfg = cfg.memory
+        scores = mcfg.policy is Policy.HISTORY_ONLY or (
+            mcfg.policy is Policy.RELAXED and mcfg.fixed_history_position is None
+        )
+        assert calls == {
+            "sample_pool": steps,
+            "partition": steps if scores else 0,
+            "select_memory": steps if scores else 0,
+        }
