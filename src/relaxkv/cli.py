@@ -96,13 +96,18 @@ def load_settings(
     settings = {sec: dict(vals) for sec, vals in _DEFAULTS.items()}
     if config_path:
         parser = configparser.ConfigParser()
-        read = parser.read(config_path)
+        try:
+            read = parser.read(config_path)
+            # items() interpolates, so a stray '%' raises here
+            sections = {sec: parser.items(sec) for sec in parser.sections()}
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"malformed config file {config_path}: {exc}") from None
         if not read:
             raise ConfigError(f"cannot read config file {config_path}")
-        for section in parser.sections():
+        for section, items in sections.items():
             if section not in _SCHEMA:
                 raise ConfigError(f"unknown config section [{section}]")
-            for key, raw in parser.items(section):
+            for key, raw in items:
                 settings[section][key] = _parse_value(section, key, raw)
     for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:
@@ -242,10 +247,23 @@ def _write_json(path: Path, payload: dict):
     path.write_text(_indented(payload) + "\n")
 
 
+def _csv_rows(buf: io.StringIO, width: int, rows: list[tuple]):
+    csv.writer(buf).writerows(rows)
+
+
+def _int_csv_rows(buf: io.StringIO, width: int, rows: list[tuple]):
+    """CSV rows whose cells are all ints, in the bytes csv.writer writes: an int
+    needs no quoting and ``format(n) == str(n)``; one template per row."""
+    template = ",".join(["{}"] * width) + "\r\n"
+    buf.write("".join(itertools.starmap(template.format, rows)))
+
+
 def _write_table(
-    path: Path, fmt: str, settings: dict, header: list[str], rows: list[tuple]
+    path: Path, fmt: str, settings: dict, header: list[str], rows: list[tuple],
+    write_rows=_csv_rows,
 ):
-    """A table of ``rows``, tuples in ``header`` order, as CSV or JSON."""
+    """A table of ``rows``, tuples in ``header`` order, as CSV or JSON. CSV
+    rows go through ``write_rows(buf, len(header), rows)``."""
     if fmt == "json":
         _write_json(
             path,
@@ -259,10 +277,30 @@ def _write_table(
     buf = io.StringIO()
     buf.write(f"# schema_version: {SCHEMA_VERSION}\n")
     buf.write(f"# config: {json.dumps(resolved_config_dict(settings))}\n")
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
+    csv.writer(buf).writerow(header)
+    write_rows(buf, len(header), rows)
     path.write_text(buf.getvalue())
+
+
+def _out_dir(raw: str) -> Path:
+    """The --out directory, checked before any run but not made: an existing
+    part of its path that is not a directory would fail mkdir after the run."""
+    out = Path(raw)
+    for part in (out, *out.parents):
+        if part.exists() and not part.is_dir():
+            raise ConfigError(f"--out {raw}: {part} is not a directory")
+    return out
+
+
+def _save(out: Path, name: str, write, *args, **kwargs):
+    """``write(out / name, *args, **kwargs)``, making ``out`` if it is missing;
+    an OSError is reported with the path."""
+    path = out / name
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        write(path, *args, **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
 def _dict_rows(rows: list[dict]) -> tuple[list[str], list[tuple]]:
@@ -278,10 +316,9 @@ def _dict_rows(rows: list[dict]) -> tuple[list[str], list[tuple]]:
 def cmd_rollout(args) -> int:
     settings = load_settings(args.config, args.set, args.seed)
     cfg = build_config(settings)
+    out = _out_dir(args.out)
     trace = run_rollout(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "rollout.json", trace_report(trace, settings))
+    _save(out, "rollout.json", _write_json, trace_report(trace, settings))
     return 0
 
 
@@ -312,6 +349,7 @@ def cmd_sweep(args) -> int:
             point[section][key] = value
         points.append(point)
         configs.append(build_config(point))
+    out = _out_dir(args.out)
     results = run_sweep(configs)
 
     rows = []
@@ -335,9 +373,10 @@ def cmd_sweep(args) -> int:
                 error="",
             )
         rows.append(row)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_table(out / f"sweep.{args.format}", args.format, settings, *_dict_rows(rows))
+    _save(
+        out, f"sweep.{args.format}", _write_table, args.format, settings,
+        *_dict_rows(rows),
+    )
     return 0
 
 
@@ -366,10 +405,13 @@ def profile_rows(cfg: RolloutConfig) -> tuple[list[str], list[tuple]]:
 
 def cmd_profile(args) -> int:
     settings = load_settings(args.config, args.set, args.seed)
-    header, rows = profile_rows(build_config(settings))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_table(out / f"profile.{args.format}", args.format, settings, header, rows)
+    cfg = build_config(settings)
+    out = _out_dir(args.out)
+    header, rows = profile_rows(cfg)
+    _save(
+        out, f"profile.{args.format}", _write_table, args.format, settings, header, rows,
+        write_rows=_int_csv_rows,  # every profile cell is an int
+    )
     return 0
 
 
@@ -391,6 +433,7 @@ def cmd_compare(args) -> int:
         point = {sec: dict(vals) for sec, vals in settings.items()}
         point["memory"]["policy"] = _parse_value("memory", "policy", name)
         configs.append(build_config(point))
+    out = _out_dir(args.out)
 
     per_policy = []
     for name, cfg in zip(policies, configs):
@@ -412,10 +455,9 @@ def cmd_compare(args) -> int:
     )
     for row, b in zip(per_policy, balances):
         row["balance"] = b
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_table(
-        out / f"compare.{args.format}", args.format, settings, *_dict_rows(per_policy)
+    _save(
+        out, f"compare.{args.format}", _write_table, args.format, settings,
+        *_dict_rows(per_policy),
     )
     return 0
 

@@ -41,10 +41,9 @@ class MemoryConfig:
     # this fixed 0-based position in the candidate region (clamped to the most
     # recent candidate when fewer exist).
     fixed_history_position: int | None = None
-    # Every frame is evicted after the last step that reads it. When False,
-    # a relaxed or history_only selection reads every frame generated so far,
-    # so those policies keep them all; when True it reads only its sink, pool
-    # and tail.
+    # Every frame is evicted after the last step that reads it; a relaxed or
+    # history_only selection reads only its sink, pool and tail. When False,
+    # those policies keep every frame generated so far anyway.
     bounded_cache: bool = False
     # None = score with keys mean-pooled over every layer; an int designates a
     # single scoring layer.

@@ -171,8 +171,9 @@ def eviction_schedule(plan: MemoryPlan) -> list[list[int]]:
 
     Records the last step that reads each frame: the step's memory and, when
     its history is scored, the sink, pool and tail whose keys select_memory
-    reads. Without ``bounded_cache`` a scored step reads every frame
-    generated so far. A frame is read at least by the step that generates it.
+    reads. Without ``bounded_cache`` a scored step also keeps every frame
+    generated so far, as if it read them. A frame is read at least by the
+    step that generates it.
     """
     cfg = plan.cfg
     U = cfg.chunk_size

@@ -307,6 +307,75 @@ class TestCompare:
         assert not out.exists()
 
 
+COMMANDS = {
+    "rollout": ["rollout"],
+    "profile": ["profile"],
+    "sweep": ["sweep", "--grid", "memory.n_sink=1,2"],
+    "compare": ["compare", "--policies", "dense_window,relaxed"],
+}
+
+MALFORMED_CONFIGS = {
+    "key before any section": b"n_sink = 1\n[memory]\nn_tail = 1\n",
+    "repeated section": b"[memory]\nn_sink = 1\n[memory]\nn_tail = 1\n",
+    "repeated key": b"[memory]\nn_sink = 1\nn_sink = 2\n",
+    "key without value": b"[memory]\nn_sink\n",
+    "bad interpolation": b"[memory]\npolicy = 50%\n",
+    "utf-16 byte order mark": b"\xff\xfe[memory]\nn_sink = 1\n",
+}
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("content", list(MALFORMED_CONFIGS))
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, command, content):
+        config = tmp_path / "run.ini"
+        config.write_bytes(MALFORMED_CONFIGS[content])
+        out = tmp_path / "out"
+        args = [*COMMANDS[command], "--seed", "1", "--config", str(config),
+                "--out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and str(config) in err
+        assert not out.exists()
+
+
+class TestOutputPath:
+    @pytest.fixture
+    def no_runs(self, monkeypatch):
+        import relaxkv.cli as cli_mod
+
+        def no_run(*args):
+            raise AssertionError("ran before --out was checked")
+
+        for name in ("run_rollout", "run_sweep", "profile_rows"):
+            monkeypatch.setattr(cli_mod, name, no_run)
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("below", ["", "sub", "sub/dir"])
+    def test_file_in_path_rejected_before_any_rollout(
+        self, tmp_path, capsys, no_runs, command, below
+    ):
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep me\n")
+        out = blocker / below if below else blocker
+        assert main([*COMMANDS[command], "--seed", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and str(blocker) in err
+        assert blocker.read_text() == "keep me\n"
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_unwritable_report_exits_2_naming_the_path(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        report = out / f"{command}.{'json' if command == 'rollout' else 'csv'}"
+        report.mkdir(parents=True)  # a directory where the report goes
+        args = [*COMMANDS[command], "--seed", "1", "--out", str(out),
+                "--set", "rollout.total_frames=30", "--set", "metrics.clip_frames=15"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and str(report) in err
+        assert report.is_dir() and not any(report.iterdir())
+
+
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs")
 def test_rollout_bytes_do_not_depend_on_blas_threads(tmp_path):
     """A relaxed report is byte-identical under 1 and 2 BLAS threads. Reports

@@ -1,12 +1,21 @@
-"""The JSON report writer emits exactly the bytes of json.dumps(indent=2)."""
+"""The JSON report writer emits exactly the bytes of json.dumps(indent=2), and
+the profile CSV exactly the bytes of csv.writer."""
 
+import csv
+import io
 import json
+import tempfile
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import relaxkv.cli as cli
-from relaxkv.cli import main
+from relaxkv import Policy, RolloutConfig
+from relaxkv.cli import main, profile_rows
+
+from test_attention import TINY, rollout_configs
 
 POLICIES = ["dense_window", "attention_sink", "relaxed", "none", "sink_only",
             "tail_only", "history_only", "full"]
@@ -110,3 +119,45 @@ class TestReportBytes:
                      str(tmp_path), "--policies", ",".join(POLICIES)]) == 0
         assert [path.name for path, _ in payloads] == ["sweep.json", "compare.json"]
         assert_reports_match(payloads)
+
+
+def config_sets(cfg) -> list[str]:
+    """--set options that resolve to ``cfg``."""
+    sets = [f"rollout.total_frames={cfg.total_frames}", f"rollout.seed={cfg.seed}"]
+    for section, params in (("memory", cfg.memory), ("model", cfg.model)):
+        for f in fields(params):
+            value = getattr(params, f.name)
+            key = "lambda" if f.name == "lam" else f.name
+            sets.append(f"{section}.{key}={getattr(value, 'value', value)}")
+    return sets
+
+
+def csv_writer_profile(cfg, settings_: dict) -> bytes:
+    """The profile CSV as csv.writer renders it: two preamble lines, the header
+    and ``profile_rows(cfg)``."""
+    header, rows = profile_rows(cfg)
+    buf = io.StringIO()
+    buf.write("# schema_version: 1\n")
+    buf.write(f"# config: {json.dumps(cli.resolved_config_dict(settings_))}\n")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+class TestProfileCsvBytes:
+    @pytest.mark.parametrize("policy", list(Policy))
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=rollout_configs())
+    # 2**31 tokens per frame: score ops pass 2**63
+    @example(cfg=RolloutConfig(model=replace(TINY, frame_tokens=2**31), total_frames=30))
+    def test_matches_csv_writer(self, policy, cfg):
+        cfg = replace(cfg, memory=replace(cfg.memory, policy=policy))
+        overrides = config_sets(cfg)
+        settings_ = cli.load_settings(None, overrides, None)
+        assert cli.build_config(settings_) == cfg
+        options = [arg for item in overrides for arg in ("--set", item)]
+        with tempfile.TemporaryDirectory() as out:
+            assert main(["profile", "--out", out, *options]) == 0
+            written_bytes = (Path(out) / "profile.csv").read_bytes()
+        assert written_bytes == csv_writer_profile(cfg, settings_)
