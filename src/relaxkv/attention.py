@@ -66,7 +66,7 @@ class ToyAttentionStack:
         out = np.empty((len(frame_ids), p.frame_tokens, p.d))
         for j, fid in enumerate(frame_ids):
             rng = np.random.default_rng([self.seed, 13, fid])
-            out[j] = rng.normal(size=(p.frame_tokens, p.d)) * 0.5 + self.token_offsets
+            out[j] = rng.standard_normal((p.frame_tokens, p.d)) * 0.5 + self.token_offsets
         return out
 
 

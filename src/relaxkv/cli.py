@@ -21,6 +21,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .attention import count_step_cost, step_costs
 from .config import MemoryConfig, ModelParams, Policy, RolloutConfig
@@ -95,7 +96,9 @@ def load_settings(
     """Resolve defaults <- config file <- --set overrides <- --seed."""
     settings = {sec: dict(vals) for sec, vals in _DEFAULTS.items()}
     if config_path:
-        parser = configparser.ConfigParser()
+        # no section header can name "", so a [DEFAULT] section is read as an
+        # ordinary one, and rejected below, instead of filling every section
+        parser = configparser.ConfigParser(default_section="")
         try:
             read = parser.read(config_path)
             # items() interpolates, so a stray '%' raises here
@@ -220,10 +223,43 @@ def _key(key) -> str:
     return _flat_encoder(0).encode({key: 0})[1:-4]  # '{<key>: 0}'
 
 
+def _float_matrix(rows, depth: int) -> str | None:
+    """``json.dumps(rows, indent=2)`` nested ``depth`` levels deep, for a list
+    or tuple of lists or tuples that hold only exact, finite floats, as one
+    orjson call; None for any other ``rows``.
+
+    orjson writes the shortest round-tripping digits, as ``repr`` does, but
+    spells some floats differently (``0.00001`` and ``1e16`` for ``1e-05`` and
+    ``1e+16``), each time with an ``e`` or a ``0.0000``: only those tokens are
+    respelled with ``repr``."""
+    if set(map(type, itertools.chain.from_iterable(rows))) != {float}:
+        return None
+    out = orjson.dumps(rows, option=orjson.OPT_INDENT_2)
+    if b"n" in out:  # NaN or an infinity, written as null; json writes NaN, Infinity
+        return None
+    tokens = set()  # (start, stop) of each token to respell
+    for marker in (b"e", b"0.0000"):
+        at = out.find(marker)
+        while at != -1:
+            # every number sits on its own line, followed by "," or nothing
+            stop = out.find(b"\n", at)
+            if out.endswith(b",", 0, stop):
+                stop -= 1
+            tokens.add((out.rfind(b" ", 0, at) + 1, stop))
+            at = out.find(marker, stop)
+    parts, done = [], 0
+    for start, stop in sorted(tokens):
+        parts += [out[done:start], repr(float(out[start:stop])).encode()]
+        done = stop
+    parts.append(out[done:])
+    return b"".join(parts).replace(b"\n", b"\n" + b"  " * depth).decode()
+
+
 def _indented(obj, depth: int = 0) -> str:
     """``json.dumps(obj, indent=2)`` nested ``depth`` levels deep. json's C
     encoder runs only without indent, so a container of scalars is one C call
-    whose separators carry the indent; only containers of containers are walked."""
+    whose separators carry the indent, and a matrix of floats is one orjson
+    call (``_float_matrix``); only other containers of containers are walked."""
     if isinstance(obj, dict):
         children, brackets = obj.values(), "{}"
     elif isinstance(obj, (list, tuple)):
@@ -234,10 +270,13 @@ def _indented(obj, depth: int = 0) -> str:
         return brackets
     inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
     # exact types: a container, or a subclass of a scalar, takes the walk
-    if set(map(type, children)) <= {str, int, float, bool, type(None)}:
+    kinds = set(map(type, children))
+    if kinds <= {str, int, float, bool, type(None)}:
         parts = [_flat_encoder(depth + 1).encode(obj)[1:-1]]
     elif isinstance(obj, dict):
         parts = [f"{_key(k)}: {_indented(v, depth + 1)}" for k, v in obj.items()]
+    elif kinds <= {list, tuple} and (matrix := _float_matrix(obj, depth)) is not None:
+        return matrix
     else:
         parts = [_indented(child, depth + 1) for child in obj]
     return brackets[0] + inner + ("," + inner).join(parts) + outer + brackets[1]

@@ -29,6 +29,9 @@ class Frame:
     id: int
     keys: np.ndarray
     values: np.ndarray
+    # prototypes of the groups this frame starts, keyed by (scoring_layer,
+    # *group ids) and filled by select_memory: they are evicted with the frame
+    prototypes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.id < 0:
@@ -155,6 +158,20 @@ def group_prototype(frames: list[Frame], scoring_layer: int | None = None) -> np
     return _normalize(pooled.mean(axis=0))
 
 
+def _kept_prototype(group: list[Frame], scoring_layer: int | None) -> np.ndarray:
+    """``group_prototype(group, scoring_layer)``, computed once and kept with
+    the group's first frame. A one-frame group's is its ``frame_prototype``, bit
+    for bit: the same mean over the same contiguous block of pooled keys."""
+    key = (scoring_layer, *(f.id for f in group))
+    kept = group[0].prototypes
+    if key not in kept:
+        if len(group) == 1:
+            kept[key] = frame_prototype(group[0], scoring_layer)
+        else:
+            kept[key] = group_prototype(group, scoring_layer)
+    return kept[key]
+
+
 def score_candidate(
     frame_id: int,
     proto_h: np.ndarray,
@@ -219,19 +236,19 @@ def select_memory(
     if not pool or cfg.n_history == 0:
         return build_memory(p, []), []
 
+    layer = cfg.scoring_layer
     sink_frames = _cached(frames, p.sink_ids)
     tail_frames = _cached(frames, p.tail_ids)
-    proto_sink = group_prototype(sink_frames, cfg.scoring_layer) if sink_frames else None
-    proto_tail = group_prototype(tail_frames, cfg.scoring_layer) if tail_frames else None
+    # a frame's prototype and the sink's are read again at later steps; a tail
+    # of several frames changes every step, so its prototype is not kept
+    proto_sink = _kept_prototype(sink_frames, layer) if sink_frames else None
+    if len(tail_frames) == 1:
+        proto_tail = _kept_prototype(tail_frames, layer)
+    else:
+        proto_tail = group_prototype(tail_frames, layer) if tail_frames else None
 
     scored = [
-        score_candidate(
-            f.id,
-            frame_prototype(f, cfg.scoring_layer),
-            proto_sink,
-            proto_tail,
-            cfg.lam,
-        )
+        score_candidate(f.id, _kept_prototype([f], layer), proto_sink, proto_tail, cfg.lam)
         for f in _cached(frames, pool)
     ]
     history = select_history(scored, cfg.n_history)

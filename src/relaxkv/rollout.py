@@ -207,7 +207,7 @@ def run_rollout(cfg: RolloutConfig) -> RolloutTrace:
     plan = memory_plan(mcfg, np.arange(0, cfg.total_frames, U))
     expired = eviction_schedule(plan)
     records: list[StepRecord] = []
-    features: list[np.ndarray] = []
+    features = np.empty((cfg.total_frames, cfg.model.d))
 
     step = 0
     try:
@@ -236,7 +236,7 @@ def run_rollout(cfg: RolloutConfig) -> RolloutTrace:
             ]
             append_and_evict(cache, new_frames, expired[step])
 
-            features.extend(out.mean(axis=1))
+            features[i : i + U] = out.mean(axis=1)
             records.append(
                 StepRecord(
                     step=step,
@@ -252,7 +252,7 @@ def run_rollout(cfg: RolloutConfig) -> RolloutTrace:
         raise type(exc)(f"step {step} (policy {mcfg.policy.value}): {exc}") from exc
 
     return RolloutTrace(
-        config=cfg, records=records, frame_features=np.asarray(features)
+        config=cfg, records=records, frame_features=features
     )
 
 

@@ -1,10 +1,14 @@
 import math
+import weakref
+from collections import Counter
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import relaxkv.memory as memory_module
 import relaxkv.rollout as rollout_module
 
 from relaxkv import (
@@ -28,6 +32,7 @@ from relaxkv import (
 )
 from relaxkv.cli import profile_rows
 from relaxkv.errors import CacheMissError, ContractViolationError
+from relaxkv.memory import frame_prototype, group_prototype
 from relaxkv.rollout import eviction_schedule, memory_plan, structured_step_memory
 from relaxkv.rope import PositionPlan
 
@@ -82,6 +87,22 @@ def naive_reference(chunk_hidden, mem_frames, mem_positions, chunk_positions, st
 def random_frame(rng, fid, params):
     shape = (params.layers, params.frame_tokens, params.d)
     return Frame(id=fid, keys=rng.normal(size=shape), values=rng.normal(size=shape))
+
+
+class TestEmbedChunk:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40])
+    def test_bits_equal_the_normal_draw(self, seed):
+        """standard_normal draws the bits that normal(0, 1) drew, frame by frame."""
+        params = ModelParams(layers=1, heads=2, head_dim=8, frame_tokens=5)
+        stack = ToyAttentionStack(params, seed)
+        fids = [0, 1, 2, 13, 1499, 12345]
+        shape = (params.frame_tokens, params.d)
+        expected = np.stack([
+            np.random.default_rng([seed, 13, fid]).normal(size=shape) * 0.5
+            + stack.token_offsets
+            for fid in fids
+        ])
+        assert stack.embed_chunk(fids).tobytes() == expected.tobytes()
 
 
 class TestAttendChunk:
@@ -456,3 +477,76 @@ class TestProfileProperty:
             assert len(rec.memory.history_ids) == len(mem.history_ids)
             assert set(rec.memory.history_ids) <= set(pool)
             assert scored == (pool if scoring.n_history else [])
+
+
+def scored_config(n_sink, n_tail, bounded, layer):
+    mem = MemoryConfig(n_sink=n_sink, n_tail=n_tail, bounded_cache=bounded,
+                       scoring_layer=layer)
+    return RolloutConfig(memory=mem, model=TINY, total_frames=60, seed=3)
+
+
+class TestKeptPrototypeProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        cfg=rollout_configs(),
+        policy=st.sampled_from([Policy.RELAXED, Policy.HISTORY_ONLY]),
+        layer=st.none() | st.integers(0, TINY.layers - 1),
+    )
+    @example(cfg=scored_config(0, 1, False, None), policy=Policy.RELAXED, layer=None)
+    @example(cfg=scored_config(0, 2, True, 1), policy=Policy.RELAXED, layer=1)
+    @example(cfg=scored_config(2, 3, False, 0), policy=Policy.RELAXED, layer=0)
+    @example(cfg=scored_config(2, 2, True, None), policy=Policy.HISTORY_ONLY, layer=None)
+    def test_kept_prototypes_equal_recomputed_ones(self, cfg, policy, layer):
+        """After every step, each prototype kept with a cached frame equals
+        frame_prototype / group_prototype recomputed from its group's frames,
+        bit for bit, and every group frame is cached; each prototype the step
+        read is kept, none outlives its frame, and no frame's prototype is
+        computed twice."""
+        mem = replace(cfg.memory, policy=policy, fixed_history_position=None,
+                      scoring_layer=layer)
+        cfg = replace(cfg, memory=mem)
+        computed = Counter()
+        refs = {}  # id -> weak reference of every kept prototype seen
+
+        def counting(frame, scoring_layer=None):
+            computed[frame.id] += 1
+            return frame_prototype(frame, scoring_layer)
+
+        def selecting(frames, generated_count, scfg, pool):
+            result = memory_module.select_memory(frames, generated_count, scfg, pool)
+            if scfg.n_history and pool:
+                p = partition(generated_count, scfg)
+                read = [(f,) for f in pool]
+                if p.sink_ids:
+                    read.append(tuple(p.sink_ids))
+                if len(p.tail_ids) == 1:
+                    read.append(tuple(p.tail_ids))
+                for ids in read:
+                    assert (layer, *ids) in frames[ids[0]].prototypes
+            return result
+
+        def checking(cache, new_frames, expired):
+            append_and_evict(cache, new_frames, expired)
+            held = {}
+            for frame in cache.frames.values():
+                for (key_layer, *ids), proto in frame.prototypes.items():
+                    assert key_layer == layer and ids[0] == frame.id
+                    assert set(ids) <= set(cache.frames)
+                    group = [cache.frames[f] for f in ids]
+                    if len(group) == 1:
+                        expected = frame_prototype(frame, layer)
+                    else:
+                        expected = group_prototype(group, layer)
+                    assert proto.tobytes() == expected.tobytes()
+                    held[id(proto)] = proto
+                    if id(proto) not in refs or refs[id(proto)]() is not proto:
+                        refs[id(proto)] = weakref.ref(proto)
+            alive = {key for key, ref in refs.items() if ref() is not None}
+            assert alive == set(held)
+            return cache
+
+        with mock.patch.object(memory_module, "frame_prototype", counting), \
+                mock.patch.object(rollout_module, "select_memory", selecting), \
+                mock.patch.object(rollout_module, "append_and_evict", checking):
+            run_rollout(cfg)
+        assert all(n == 1 for n in computed.values())

@@ -339,6 +339,29 @@ class TestMalformedConfig:
         assert not out.exists()
 
 
+# configparser would copy the keys of [DEFAULT] into every other section
+DEFAULT_SECTION_CONFIGS = {
+    "alone": b"[DEFAULT]\ntotal_frames = 30\n",
+    "with empty rollout": b"[DEFAULT]\ntotal_frames = 30\n[rollout]\n",
+    "with rollout and memory": b"[DEFAULT]\ntotal_frames = 30\n[rollout]\n[memory]\n",
+}
+
+
+class TestDefaultSection:
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("content", list(DEFAULT_SECTION_CONFIGS))
+    def test_rejected_as_unknown_section(self, tmp_path, capsys, command, content):
+        config = tmp_path / "run.ini"
+        config.write_bytes(DEFAULT_SECTION_CONFIGS[content])
+        out = tmp_path / "out"
+        args = [*COMMANDS[command], "--seed", "1", "--config", str(config),
+                "--out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: unknown config section [DEFAULT]\n"
+        assert not out.exists()
+
+
 class TestOutputPath:
     @pytest.fixture
     def no_runs(self, monkeypatch):

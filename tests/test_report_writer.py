@@ -1,9 +1,11 @@
-"""The JSON report writer emits exactly the bytes of json.dumps(indent=2), and
-the profile CSV exactly the bytes of csv.writer."""
+"""The JSON report writer emits exactly the bytes of json.dumps(indent=2), its
+orjson path for float matrices included, and the profile CSV exactly the bytes
+of csv.writer."""
 
 import csv
 import io
 import json
+import math
 import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
@@ -80,6 +82,61 @@ class TestWriterBytes:
             json.dumps(obj, indent=2)
         with pytest.raises(TypeError):
             cli._indented(obj)
+
+
+class Float(float):
+    """A float subclass: json writes it with float.__repr__, orjson rejects it."""
+
+
+# the floats that orjson spells otherwise than repr, or not at all
+edge_floats = st.sampled_from(
+    [5e-324, 2.2250738585072014e-308, 1e-310, -0.0, 0.0, 1e-05, -1.2e-05,
+     9.999999999999999e-05, 1e-4, 1e-7, 1e16, -1.5e16, 1.7976931348623157e308]
+)
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | edge_floats
+float_rows = st.lists(finite_floats, min_size=1, max_size=6)
+float_rows = float_rows | float_rows.map(tuple)
+# rows that keep a matrix off the orjson path
+other_rows = (
+    st.just([])
+    | st.lists(finite_floats | st.sampled_from(
+        [float("nan"), float("inf"), float("-inf"), Float(1e-05), 0, 1, 2**64, True, False]
+    ), min_size=1, max_size=6)
+)
+matrices = st.lists(float_rows, min_size=1, max_size=5) | st.lists(
+    float_rows | other_rows, min_size=1, max_size=5
+)
+matrices = matrices | matrices.map(tuple)
+nested_matrices = matrices | st.recursive(
+    matrices,
+    lambda inner: st.dictionaries(st.text(max_size=3), inner | finite_floats, min_size=1,
+                                  max_size=3),
+    max_leaves=4,
+)
+
+
+def exact_floats(matrix) -> bool:
+    cells = [x for row in matrix for x in row]
+    return bool(cells) and all(type(x) is float and math.isfinite(x) for x in cells)
+
+
+class TestFloatMatrixBytes:
+    @settings(max_examples=300, deadline=None)
+    @given(obj=nested_matrices)
+    def test_matches_json_dumps_indent_2(self, obj):
+        assert cli._indented(obj) + "\n" == dumps_indented(obj)
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrix=matrices, depth=st.integers(0, 3))
+    def test_orjson_path_taken_only_for_finite_exact_floats(self, matrix, depth):
+        """A matrix of finite exact floats is written in one orjson call; any
+        other matrix falls back to the walk."""
+        text = cli._float_matrix(matrix, depth)
+        if not exact_floats(matrix):
+            assert text is None
+        else:
+            expected = json.dumps(matrix, indent=2).replace("\n", "\n" + "  " * depth)
+            assert text == expected
 
 
 @pytest.fixture

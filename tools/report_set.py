@@ -1,16 +1,19 @@
 """Write the fixed set of 244 reports used to check byte identity between
 two versions of relaxkv.
 
-    PYTHONPATH=<tree>/src python tools/report_set.py OUT
+    PYTHONPATH=<tree>/src python tools/report_set.py OUT [--check REF]
 
 Run it once per tree (for example a `git worktree` of the parent commit and
-the working tree) into two directories, then compare them with `diff -r`.
-The set is 8 policies x 10 variants x {rollout json, profile json, profile
-csv}, plus an 8-policy x n_sink {0,2} sweep and an 8-policy compare, each in
-csv and json, all with seed 1. Every call goes through `relaxkv.cli.main` and
-must exit 0.
+the working tree) into two directories. With `--check REF`, it then compares
+OUT with the set in REF byte for byte and exits 1 listing every file that
+differs, is missing from OUT or is extra in OUT; it exits 0 when the sets are
+the same. The set is 8 policies x 10 variants x {rollout json, profile json,
+profile csv}, plus an 8-policy x n_sink {0,2} sweep and an 8-policy compare,
+each in csv and json, all with seed 1. Every call goes through
+`relaxkv.cli.main` and must exit 0.
 """
 
+import argparse
 import os
 import sys
 
@@ -81,7 +84,36 @@ def run(out: Path) -> int:
     return 0
 
 
+def _files(root: Path) -> set[Path]:
+    return {f.relative_to(root) for f in root.rglob("*") if f.is_file()}
+
+
+def check(out: Path, ref: Path) -> int:
+    """Compare the set in ``out`` with the one in ``ref``, byte for byte."""
+    written, expected = _files(out), _files(ref)
+    problems = [f"missing {f}" for f in sorted(expected - written)]
+    problems += [f"extra {f}" for f in sorted(written - expected)]
+    problems += [
+        f"differs {f}" for f in sorted(written & expected)
+        if (out / f).read_bytes() != (ref / f).read_bytes()
+    ]
+    for line in problems:
+        print(line)
+    if problems:
+        print(f"{len(problems)} of {len(written | expected)} files do not match {ref}",
+              file=sys.stderr)
+        return 1
+    print(f"all {len(expected)} files match {ref}", file=sys.stderr)
+    return 0
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit(f"usage: {sys.argv[0]} OUT")
-    sys.exit(run(Path(sys.argv[1])))
+    parser = argparse.ArgumentParser(description="Write the fixed report set.")
+    parser.add_argument("out", type=Path, help="directory to write the set into")
+    parser.add_argument("--check", type=Path, metavar="REF",
+                        help="a set written earlier to compare OUT with, byte for byte")
+    args = parser.parse_args()
+    code = run(args.out)
+    if code == 0 and args.check is not None:
+        code = check(args.out, args.check)
+    sys.exit(code)
