@@ -14,7 +14,6 @@ from .memory import (
     Partition,
     ScoredCandidate,
     StructuredMemory,
-    build_memory,
     frame_prototype,
     group_prototype,
     partition,
@@ -55,7 +54,6 @@ __all__ = [
     "attend_chunk",
     "audit_history_compliance",
     "balance",
-    "build_memory",
     "clip_features",
     "cost_ratio",
     "count_step_cost",

@@ -17,7 +17,7 @@ from .memory import Frame, StructuredMemory
 from .memory import (  # noqa: F401  (perfbench/spans.py wraps them by name here)
     partition, restrict_candidates,
 )
-from .rope import PositionPlan, rotate_tokens, rotation_tables
+from .rope import rotate_tokens, rotation_tables
 
 
 @dataclass(frozen=True)
@@ -73,14 +73,17 @@ class ToyAttentionStack:
 def attend_chunk(
     chunk_hidden: np.ndarray,
     mem: StructuredMemory,
-    plan: PositionPlan,
+    first_position: int,
     cache: KVCache,
     stack: ToyAttentionStack,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, CostReport]:
     """Run the chunk through the stack attending over the structured memory.
 
-    Returns output latents (U, F, d), the chunk's per-layer keys and values
-    (layers, U, F, d) for cache insertion, and the exact cost accounting.
+    The memory, in ``all_ids`` order, and then the chunk are rotated to the
+    consecutive positions from ``first_position`` (see
+    ``rollout.MemoryPlan.first_positions``). Returns output latents (U, F, d),
+    the chunk's per-layer keys and values (layers, U, F, d) for cache
+    insertion, and the exact cost accounting.
     Intra-chunk attention is bidirectional; memory keys are shared by every
     chunk token.
     """
@@ -88,20 +91,15 @@ def attend_chunk(
     U, F, d = chunk_hidden.shape
     if (F, d) != (p.frame_tokens, p.d):
         raise ContractViolationError("chunk hidden shape does not match model dims")
-    if len(plan.current_chunk_positions) != U:
-        raise ContractViolationError("plan does not cover the current chunk")
-    positions = plan.as_dict()
     mem_ids = mem.all_ids
     for fid in mem_ids:
         if fid not in cache.frames:
             raise CacheMissError(f"frame {fid} missing from cache")
-        if fid not in positions:
-            raise ContractViolationError(f"frame {fid} has no positional index")
 
     H, hd = p.heads, p.head_dim
     n_mem, n_new = len(mem_ids) * F, U * F
     # rotation of every attended token, memory then chunk, for all layers
-    frame_pos = [positions[fid] for fid in mem_ids] + plan.current_chunk_positions
+    frame_pos = range(first_position, first_position + len(mem_ids) + U)
     cos, sin = rotation_tables(frame_pos, F, H, p.rotary)
     # Head-split, rotated keys and values of memory then chunk, for every
     # layer: (layers, n_mem + n_new, H, hd). The memory part is gathered from

@@ -175,8 +175,11 @@ def _scored_dict(s):
 
 
 def trace_report(trace: RolloutTrace, settings: dict) -> dict:
+    U = trace.config.memory.chunk_size
     steps = []
     for rec in trace.records:
+        mem_ids = rec.memory.all_ids
+        positions = range(rec.first_position, rec.first_position + len(mem_ids) + U)
         steps.append(
             {
                 "step": rec.step,
@@ -185,8 +188,8 @@ def trace_report(trace: RolloutTrace, settings: dict) -> dict:
                 "history_ids": rec.memory.history_ids,
                 "tail_ids": rec.memory.tail_ids,
                 "scored": [_scored_dict(s) for s in rec.scored],
-                "positions": [[fid, pos] for fid, pos in rec.plan.assignments],
-                "chunk_positions": rec.plan.current_chunk_positions,
+                "positions": [[fid, pos] for fid, pos in zip(mem_ids, positions)],
+                "chunk_positions": list(positions[len(mem_ids) :]),
                 "attended_frames": rec.cost.attended_frames,
                 "key_tokens": rec.cost.key_tokens,
                 "score_ops": rec.cost.score_ops,
@@ -512,6 +515,10 @@ def _add_common(p: argparse.ArgumentParser):
     )
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--seed", type=int, default=None, help="run seed")
+
+
+def _add_table(p: argparse.ArgumentParser):
+    _add_common(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
@@ -527,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rollout)
 
     p = sub.add_parser("sweep", help="run a config grid and write a table")
-    _add_common(p)
+    _add_table(p)
     p.add_argument(
         "--grid", action="append", default=[], metavar="SECTION.KEY=V1,V2,...",
         help="grid axis (repeatable)",
@@ -535,11 +542,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("profile", help="cost accounting only, no generation")
-    _add_common(p)
+    _add_table(p)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("compare", help="run several policies on identical seeds")
-    _add_common(p)
+    _add_table(p)
     p.add_argument(
         "--policies", action="append", default=[], metavar="P1,P2,...",
         help="policies to compare (repeatable or comma separated)",

@@ -202,22 +202,6 @@ def select_history(scored: list[ScoredCandidate], k: int) -> list[int]:
     return sorted(s.frame_id for s in ranked[:k])
 
 
-def build_memory(p: Partition, history_ids: list[int]) -> StructuredMemory:
-    """Assemble sink + selected history + tail, validating the selection lies
-    in the restricted candidate region."""
-    allowed = restrict_candidates(p)
-    outside = [h for h in history_ids if h not in allowed]
-    if outside:
-        raise ContractViolationError(
-            f"history ids {outside} lie outside the restricted candidate region"
-        )
-    return StructuredMemory(
-        sink_ids=list(p.sink_ids),
-        history_ids=sorted(history_ids),
-        tail_ids=list(p.tail_ids),
-    )
-
-
 def _cached(frames: dict[int, Frame], ids) -> list[Frame]:
     """The frames of ``ids`` in order; one absent from ``frames`` is a cache miss."""
     try:
@@ -232,13 +216,14 @@ def select_memory(
     """Full selection for one step over its ``pool``, the
     ``sample_pool`` of its restricted candidates: prototype, score, top-k,
     assemble with the step's sink and tail."""
-    p = partition(generated_count, cfg)
+    sink_stop, tail_start = region_bounds(generated_count, cfg)
+    sink, tail = list(range(sink_stop)), list(range(tail_start, generated_count))
     if not pool or cfg.n_history == 0:
-        return build_memory(p, []), []
+        return StructuredMemory(sink, [], tail), []
 
     layer = cfg.scoring_layer
-    sink_frames = _cached(frames, p.sink_ids)
-    tail_frames = _cached(frames, p.tail_ids)
+    sink_frames = _cached(frames, sink)
+    tail_frames = _cached(frames, tail)
     # a frame's prototype and the sink's are read again at later steps; a tail
     # of several frames changes every step, so its prototype is not kept
     proto_sink = _kept_prototype(sink_frames, layer) if sink_frames else None
@@ -251,5 +236,4 @@ def select_memory(
         score_candidate(f.id, _kept_prototype([f], layer), proto_sink, proto_tail, cfg.lam)
         for f in _cached(frames, pool)
     ]
-    history = select_history(scored, cfg.n_history)
-    return build_memory(p, history), scored
+    return StructuredMemory(sink, select_history(scored, cfg.n_history), tail), scored

@@ -27,7 +27,9 @@ from .memory import (
     second_half_start,
     select_memory,
 )
-from .rope import PositionPlan, relaxed_positions, window_positions
+from .rope import (  # noqa: F401  (perfbench/spans.py wraps them by name here)
+    relaxed_positions, window_positions,
+)
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,7 @@ class StepRecord:
     generated_before: int
     memory: StructuredMemory
     scored: list[ScoredCandidate]
-    plan: PositionPlan
+    first_position: int  # memory then chunk sit at consecutive positions from here
     cost: CostReport
 
 
@@ -59,7 +61,11 @@ class MemoryPlan:
     - sink = ``range(sink_stop)``;
     - pool = ``sample_pool(range(pool_lo, pool_hi), cfg.pool_size)`` and
       history = ``pool[:cfg.n_history]``;
-    - tail = ``range(tail_start, generated)``.
+    - tail = ``range(tail_start, generated)``;
+    - positions: the tail and the chunk sit at their frame id minus
+      ``origin`` and the sink then the history just before the tail, so the
+      memory in ``all_ids`` order and then the chunk take consecutive
+      positions from ``first_positions()``.
 
     ``cfg`` is the run's memory config, widened for history_only. When
     ``scored``, the history is select_memory's choice from the pool under
@@ -73,6 +79,7 @@ class MemoryPlan:
     pool_lo: np.ndarray
     pool_hi: np.ndarray
     tail_start: np.ndarray
+    origin: np.ndarray
 
     @property
     def scoring(self) -> MemoryConfig | None:
@@ -101,6 +108,11 @@ class MemoryPlan:
         history = np.minimum(pool, self.cfg.n_history)
         return self.sink_stop, history, self.generated - self.tail_start
 
+    def first_positions(self) -> np.ndarray:
+        """Every step's first position: that of its first memory frame, or of
+        its chunk when the memory is empty."""
+        return self.generated - self.origin - sum(self.sizes())
+
 
 def memory_plan(cfg: MemoryConfig, generated) -> MemoryPlan:
     """The memory plan of the steps after ``generated`` frames (an int array),
@@ -112,13 +124,15 @@ def memory_plan(cfg: MemoryConfig, generated) -> MemoryPlan:
     empty, attends the partition's sink and tail instead. A fixed-position
     history is the pool of its own contiguous range. dense_window holds the
     previous window's final chunk plus every chunk generated since,
-    re-anchoring once another chunk would overflow it.
+    re-anchoring once another chunk would overflow it, and restarts its
+    positions at 0 with it.
     """
     i = np.asarray(generated, dtype=np.int64)
     zero = np.zeros_like(i)
     budget = cfg.memory_budget
     policy = cfg.policy
     scored = False
+    origin = zero
     if policy is Policy.NONE:
         sink, lo, hi, tail = zero, zero, zero, i
     elif policy is Policy.FULL:
@@ -128,6 +142,7 @@ def memory_plan(cfg: MemoryConfig, generated) -> MemoryPlan:
         windows = max(1, cfg.window_size // U - 1)
         held = np.where(i > 0, U * (1 + (i // U - 1) % windows), 0)
         sink, lo, hi, tail = zero, zero, zero, i - held
+        origin = tail
     elif policy is Policy.SINK_ONLY:
         sink, lo, hi, tail = np.minimum(i, budget), zero, zero, i
     elif policy is Policy.TAIL_ONLY:
@@ -152,7 +167,7 @@ def memory_plan(cfg: MemoryConfig, generated) -> MemoryPlan:
             hi = np.minimum(lo + cfg.n_history, tail)
     else:
         raise ConfigError(f"unknown policy {policy}")
-    return MemoryPlan(cfg, scored, i, sink, lo, hi, tail)
+    return MemoryPlan(cfg, scored, i, sink, lo, hi, tail, origin)
 
 
 def structured_step_memory(
@@ -209,9 +224,10 @@ def run_rollout(cfg: RolloutConfig) -> RolloutTrace:
     records: list[StepRecord] = []
     features = np.empty((cfg.total_frames, cfg.model.d))
 
+    steps = zip(plan.generated.tolist(), plan.first_positions().tolist())
     step = 0
     try:
-        for step, i in enumerate(plan.generated.tolist()):
+        for step, (i, first) in enumerate(steps):
             chunk_ids = list(range(i, i + U))
             mem = plan.memory(step)
             scored = []
@@ -219,17 +235,9 @@ def run_rollout(cfg: RolloutConfig) -> RolloutTrace:
                 pool = plan.pools[step]
                 chosen, scored = select_memory(cache.frames, i, plan.cfg, pool)
                 mem = replace(mem, history_ids=chosen.history_ids)
-            window = mem.tail_ids
-            if mcfg.policy is Policy.DENSE_WINDOW and window:
-                positions = window_positions(window[:U], window[U:], U, mcfg.window_size)
-            else:
-                # also the first dense_window step: no memory, chunk at 0..U-1
-                positions = relaxed_positions(mem, i, U)
 
             hidden = stack.embed_chunk(chunk_ids)
-            out, new_keys, new_values, cost = attend_chunk(
-                hidden, mem, positions, cache, stack
-            )
+            out, new_keys, new_values, cost = attend_chunk(hidden, mem, first, cache, stack)
             new_frames = [
                 Frame(id=fid, keys=new_keys[:, j], values=new_values[:, j])
                 for j, fid in enumerate(chunk_ids)
@@ -243,7 +251,7 @@ def run_rollout(cfg: RolloutConfig) -> RolloutTrace:
                     generated_before=i,
                     memory=mem,
                     scored=scored,
-                    plan=positions,
+                    first_position=first,
                     cost=cost,
                 )
             )

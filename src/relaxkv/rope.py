@@ -1,7 +1,10 @@
 """Rotary positional indexing.
 
 Two position-plan builders (hybrid structured-memory scheme and the
-sliding-window reset baseline) plus the rotary rotation itself.
+sliding-window reset baseline) plus the rotary rotation itself. A rollout
+takes its positions from the memory plan's ``first_positions`` instead; the
+builders state the two schemes frame by frame and are the reference oracles
+for those positions.
 """
 
 from __future__ import annotations

@@ -173,7 +173,7 @@ def test_attention_oracle():
             mem = StructuredMemory(tail_ids=list(range(n_mem)))
             plan = relaxed_positions(mem, n_mem, U)
             h = rng.normal(size=(U, params.frame_tokens, params.d))
-            out, _, _, _ = attend_chunk(h, mem, plan, cache, stack)
+            out, _, _, _ = attend_chunk(h, mem, n_mem - len(mem), cache, stack)
             ref = naive_reference(
                 h, mem_frames, list(range(n_mem)),
                 plan.current_chunk_positions, stack,

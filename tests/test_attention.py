@@ -25,16 +25,14 @@ from relaxkv import (
     audit_history_compliance,
     count_step_cost,
     partition,
-    relaxed_positions,
     restrict_candidates,
     run_rollout,
     sample_pool,
 )
 from relaxkv.cli import profile_rows
-from relaxkv.errors import CacheMissError, ContractViolationError
+from relaxkv.errors import CacheMissError
 from relaxkv.memory import frame_prototype, group_prototype
 from relaxkv.rollout import eviction_schedule, memory_plan, structured_step_memory
-from relaxkv.rope import PositionPlan
 
 from test_memory import list_regions
 
@@ -117,8 +115,7 @@ class TestAttendChunk:
             np.eye(params.d),
         )
         h = np.random.default_rng(1).normal(size=(1, 1, params.d))
-        plan = PositionPlan(assignments=[], current_chunk_positions=[0])
-        out, _, _, cost = attend_chunk(h, StructuredMemory(), plan, KVCache(), stack)
+        out, _, _, cost = attend_chunk(h, StructuredMemory(), 0, KVCache(), stack)
         # softmax over one element: context is exactly that token's value
         np.testing.assert_allclose(out, h + h.reshape(1, -1) @ wv)
         assert cost.attended_frames == 1
@@ -140,9 +137,8 @@ class TestAttendChunk:
         )
         cache = KVCache(frames={0: mem_frame})
         mem = StructuredMemory(tail_ids=[0])
-        plan = relaxed_positions(mem, 1, 1)
         h = rng.normal(size=(1, params.frame_tokens, params.d))
-        out, _, _, _ = attend_chunk(h, mem, plan, cache, stack)
+        out, _, _, _ = attend_chunk(h, mem, 0, cache, stack)
         values = np.concatenate(
             [mem_frame.values[0], h.reshape(-1, params.d) @ wv]
         )
@@ -159,11 +155,11 @@ class TestAttendChunk:
         mem = StructuredMemory(tail_ids=list(range(n_mem)))
         i = n_mem
         U = 2
-        plan = relaxed_positions(mem, i, U)
         h = rng.normal(size=(U, SMALL.frame_tokens, SMALL.d))
-        out, _, _, cost = attend_chunk(h, mem, plan, cache, stack)
+        # the tail keeps its absolute indices, so memory and chunk start at 0
+        out, _, _, cost = attend_chunk(h, mem, 0, cache, stack)
         ref = naive_reference(
-            h, mem_frames, list(range(n_mem)), plan.current_chunk_positions, stack
+            h, mem_frames, list(range(n_mem)), list(range(i, i + U)), stack
         )
         np.testing.assert_allclose(out, ref, atol=1e-5)
         assert cost.attended_frames == n_mem + U
@@ -186,11 +182,10 @@ class TestAttendChunk:
         mem_frames = [random_frame(rng, fid, params) for fid in range(n_mem)]
         cache = KVCache(frames={f.id: f for f in mem_frames})
         mem = StructuredMemory(tail_ids=list(range(n_mem)))
-        plan = relaxed_positions(mem, n_mem, U)
         h = rng.normal(size=(U, params.frame_tokens, params.d))
-        out, new_keys, new_values, cost = attend_chunk(h, mem, plan, cache, stack)
+        out, new_keys, new_values, cost = attend_chunk(h, mem, 0, cache, stack)
         ref = naive_reference(
-            h, mem_frames, list(range(n_mem)), plan.current_chunk_positions, stack
+            h, mem_frames, list(range(n_mem)), list(range(n_mem, n_mem + U)), stack
         )
         # float64 sums in another order than the loops': a few ulps each
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
@@ -204,29 +199,36 @@ class TestAttendChunk:
     def test_cache_miss(self):
         stack = ToyAttentionStack(SMALL, seed=0)
         mem = StructuredMemory(tail_ids=[0])
-        plan = relaxed_positions(mem, 1, 1)
         h = np.zeros((1, SMALL.frame_tokens, SMALL.d))
         with pytest.raises(CacheMissError):
-            attend_chunk(h, mem, plan, KVCache(), stack)
+            attend_chunk(h, mem, 0, KVCache(), stack)
 
-    def test_plan_mismatch(self, rng):
-        stack = ToyAttentionStack(SMALL, seed=0)
-        f = random_frame(rng, 0, SMALL)
-        cache = KVCache(frames={0: f})
-        mem = StructuredMemory(tail_ids=[0])
-        plan = PositionPlan(assignments=[], current_chunk_positions=[1])
-        h = np.zeros((1, SMALL.frame_tokens, SMALL.d))
-        with pytest.raises(ContractViolationError):
-            attend_chunk(h, mem, plan, cache, stack)
+    @pytest.mark.parametrize("first", [0, 1, 17])
+    def test_positions_run_on_from_first_position(self, first):
+        """Memory in ``all_ids`` order, then the chunk, sit at consecutive
+        positions from ``first_position``, whatever the frame ids."""
+        rng = np.random.default_rng(first)
+        stack = ToyAttentionStack(SMALL, seed=first)
+        mem = StructuredMemory(sink_ids=[0], history_ids=[5], tail_ids=[8, 9])
+        mem_frames = [random_frame(rng, fid, SMALL) for fid in mem.all_ids]
+        cache = KVCache(frames={f.id: f for f in mem_frames})
+        U = 2
+        h = rng.normal(size=(U, SMALL.frame_tokens, SMALL.d))
+        out, _, _, _ = attend_chunk(h, mem, first, cache, stack)
+        positions = list(range(first, first + len(mem) + U))
+        ref = naive_reference(h, mem_frames, positions[:-U], positions[-U:], stack)
+        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
+        # not the frame ids: those leave gaps between the roles
+        by_id = naive_reference(h, mem_frames, mem.all_ids, [10, 11], stack)
+        assert not np.allclose(out, by_id, rtol=1e-6, atol=1e-6)
 
     def test_cost_matches_analytic_counter(self, rng):
         stack = ToyAttentionStack(SMALL, seed=1)
         frames = [random_frame(rng, fid, SMALL) for fid in range(4)]
         cache = KVCache(frames={f.id: f for f in frames})
         mem = StructuredMemory(sink_ids=[0, 1], history_ids=[2], tail_ids=[3])
-        plan = relaxed_positions(mem, 4, 3)
         h = rng.normal(size=(3, SMALL.frame_tokens, SMALL.d))
-        _, _, _, cost = attend_chunk(h, mem, plan, cache, stack)
+        _, _, _, cost = attend_chunk(h, mem, 0, cache, stack)
         analytic = count_step_cost(mem, 3, SMALL.frame_tokens, SMALL)
         assert cost == analytic
 

@@ -33,6 +33,16 @@ class TestRollout:
     def test_missing_seed_rejected(self, tmp_path):
         assert main(["rollout", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_format_rejected(self, tmp_path, capsys, fmt):
+        """A trace is always JSON: only the table subcommands take --format."""
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["rollout", "--seed", "1", "--format", fmt, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_total_frames_rejected(self, tmp_path):
         assert (
             main(

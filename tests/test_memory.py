@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from relaxkv import (
     MemoryConfig,
     ScoredCandidate,
-    build_memory,
     frame_prototype,
     group_prototype,
     partition,
@@ -17,7 +16,6 @@ from relaxkv import (
 )
 from relaxkv.errors import (
     CacheMissError,
-    ContractViolationError,
     DegeneratePrototypeError,
     EmptyGroupError,
 )
@@ -266,22 +264,25 @@ class TestSelectHistory:
             )
 
 
-class TestBuildMemory:
+class TestSelectMemoryAssembly:
     def test_assembly(self):
-        p = partition(10, DEFAULTS)
-        mem = build_memory(p, [7])
+        # at i=10 the defaults score the pool 6, 7, 8; only 7 leans to the sink
+        to_sink, to_tail = np.eye(4)[:2]
+        frames = {
+            fid: make_frame(fid, [to_sink if fid in (0, 1, 7) else to_tail])
+            for fid in range(10)
+        }
+        mem, scored = select_memory(frames, 10, DEFAULTS, [6, 7, 8])
         assert mem.sink_ids == [0, 1]
         assert mem.history_ids == [7]
         assert mem.tail_ids == [9]
         assert mem.all_ids == [0, 1, 7, 9]
+        assert [s.frame_id for s in scored] == [6, 7, 8]
 
     def test_history_free(self):
-        mem = build_memory(partition(10, DEFAULTS), [])
+        mem, scored = select_memory({}, 10, DEFAULTS, [])
         assert mem.all_ids == [0, 1, 9]
-
-    def test_outside_restricted_rejected(self):
-        with pytest.raises(ContractViolationError):
-            build_memory(partition(10, DEFAULTS), [2])
+        assert scored == []
 
 
 def test_pool_clamp_selects_whole_pool(rng):

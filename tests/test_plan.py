@@ -14,8 +14,10 @@ from relaxkv import (
     Policy,
     RolloutConfig,
     StructuredMemory,
+    relaxed_positions,
     run_rollout,
     sample_pool,
+    window_positions,
 )
 from relaxkv.cli import profile_rows
 from relaxkv.rollout import eviction_schedule, memory_plan, structured_step_memory
@@ -155,9 +157,13 @@ class TestOnePoolPerScoredStep:
     @settings(max_examples=40, deadline=None)
     def test_rollout_builds_each_pool_once(self, cfg):
         """A rollout samples each step's pool once, for the step's memory, the
-        eviction schedule and the selection alike, and a scored step builds
-        its partition once, in select_memory."""
-        calls = {"sample_pool": 0, "partition": 0, "select_memory": 0}
+        eviction schedule and the selection alike. It builds no partition and
+        no position plan: select_memory reads its sink and tail from
+        region_bounds, and positions come from the memory plan."""
+        calls = dict.fromkeys(
+            ["sample_pool", "partition", "select_memory", "relaxed_positions",
+             "window_positions"], 0,
+        )
 
         def counting(name, fn):
             def wrapper(*args):
@@ -168,11 +174,15 @@ class TestOnePoolPerScoredStep:
         pool = counting("sample_pool", sample_pool)
         part = counting("partition", memory_module.partition)
         select = counting("select_memory", memory_module.select_memory)
+        hybrid = counting("relaxed_positions", relaxed_positions)
+        window = counting("window_positions", window_positions)
         with mock.patch.object(memory_module, "sample_pool", pool), \
                 mock.patch.object(rollout_module, "sample_pool", pool), \
                 mock.patch.object(memory_module, "partition", part), \
                 mock.patch.object(rollout_module, "partition", part), \
-                mock.patch.object(rollout_module, "select_memory", select):
+                mock.patch.object(rollout_module, "select_memory", select), \
+                mock.patch.object(rollout_module, "relaxed_positions", hybrid), \
+                mock.patch.object(rollout_module, "window_positions", window):
             trace = run_rollout(cfg)
         steps = len(trace.records)
         mcfg = cfg.memory
@@ -181,6 +191,43 @@ class TestOnePoolPerScoredStep:
         )
         assert calls == {
             "sample_pool": steps,
-            "partition": steps if scores else 0,
+            "partition": 0,
             "select_memory": steps if scores else 0,
+            "relaxed_positions": 0,
+            "window_positions": 0,
         }
+
+
+def dense_window_config(chunk_size, window_size, total_frames):
+    return RolloutConfig(
+        memory=MemoryConfig(
+            policy=Policy.DENSE_WINDOW, chunk_size=chunk_size, window_size=window_size
+        ),
+        model=TINY, total_frames=total_frames, seed=3,
+    )
+
+
+class TestPositions:
+    @settings(max_examples=150, deadline=None)
+    @given(rollout_configs())
+    @example(dense_window_config(3, 12, 60))  # re-anchors at steps 4, 7, 10, ...
+    @example(dense_window_config(2, 9, 40))
+    @example(dense_window_config(1, 7, 30))
+    @example(long_config(Policy.RELAXED, fixed_history_position=7, n_history=2))
+    @example(long_config(Policy.HISTORY_ONLY, bounded_cache=True))
+    def test_positions_equal_the_rope_oracles(self, cfg):
+        """Every record's memory, in ``all_ids`` order, and then its chunk sit
+        at the consecutive positions from ``first_position`` that the rope
+        builders assign frame by frame: window_positions for a dense_window
+        step with a non-empty window, relaxed_positions for every other step."""
+        mcfg = cfg.memory
+        U = mcfg.chunk_size
+        for rec in run_rollout(cfg).records:
+            mem, window = rec.memory, rec.memory.tail_ids
+            if mcfg.policy is Policy.DENSE_WINDOW and window:
+                oracle = window_positions(window[:U], window[U:], U, mcfg.window_size)
+            else:
+                oracle = relaxed_positions(mem, rec.generated_before, U)
+            positions = list(range(rec.first_position, rec.first_position + len(mem) + U))
+            assert list(zip(mem.all_ids, positions)) == oracle.assignments
+            assert positions[len(mem) :] == oracle.current_chunk_positions

@@ -59,7 +59,7 @@ class TestRunRollout:
         assert (a.frame_features == b.frame_features).all()
         for ra, rb in zip(a.records, b.records):
             assert ra.memory == rb.memory
-            assert ra.plan == rb.plan
+            assert ra.first_position == rb.first_position
             assert ra.scored == rb.scored
 
     def test_causality_prefix_invariance(self):
@@ -144,8 +144,9 @@ class TestDenseWindowBaseline:
         cfg = cfg_for(policy=Policy.DENSE_WINDOW, window_size=9, total_frames=30)
         trace = run_rollout(cfg)
         rec = trace.records[3]
-        assert rec.plan.as_dict() == {6: 0, 7: 1, 8: 2}
-        assert rec.plan.current_chunk_positions == [3, 4, 5]
+        # frames 6, 7, 8 at 0, 1, 2 and the chunk at 3, 4, 5
+        assert rec.memory.all_ids == [6, 7, 8]
+        assert rec.first_position == 0
 
     def test_default_window_peaks_at_21_frames(self):
         trace = run_rollout(cfg_for(policy=Policy.DENSE_WINDOW))
