@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ModelParams
-from .errors import CacheMissError, ContractViolationError
-from .memory import Frame, StructuredMemory
+from .errors import ContractViolationError
+from .memory import Frame, StructuredMemory, _cached
 from .memory import (  # noqa: F401  (perfbench/spans.py wraps them by name here)
     partition, restrict_candidates,
 )
@@ -91,24 +91,21 @@ def attend_chunk(
     U, F, d = chunk_hidden.shape
     if (F, d) != (p.frame_tokens, p.d):
         raise ContractViolationError("chunk hidden shape does not match model dims")
-    mem_ids = mem.all_ids
-    for fid in mem_ids:
-        if fid not in cache.frames:
-            raise CacheMissError(f"frame {fid} missing from cache")
+    mem_frames = _cached(cache.frames, mem.all_ids)
 
     H, hd = p.heads, p.head_dim
-    n_mem, n_new = len(mem_ids) * F, U * F
+    n_mem, n_new = len(mem_frames) * F, U * F
     # rotation of every attended token, memory then chunk, for all layers
-    frame_pos = range(first_position, first_position + len(mem_ids) + U)
+    frame_pos = range(first_position, first_position + len(mem_frames) + U)
     cos, sin = rotation_tables(frame_pos, F, H, p.rotary)
     # Head-split, rotated keys and values of memory then chunk, for every
     # layer: (layers, n_mem + n_new, H, hd). The memory part is gathered from
     # the cache and rotated once per step, not once per layer.
     keys = np.empty((p.layers, n_mem + n_new, H, hd))
     values = np.empty_like(keys)
-    if mem_ids:
-        k_mem = np.stack([cache.frames[fid].keys for fid in mem_ids], axis=1)
-        v_mem = np.stack([cache.frames[fid].values for fid in mem_ids], axis=1)
+    if mem_frames:
+        k_mem = np.stack([f.keys for f in mem_frames], axis=1)
+        v_mem = np.stack([f.values for f in mem_frames], axis=1)
         keys[:, :n_mem] = rotate_tokens(
             k_mem.reshape(p.layers, n_mem, H, hd), cos[:n_mem], sin[:n_mem]
         )
@@ -142,7 +139,7 @@ def attend_chunk(
         ctx = attn @ values[layer].transpose(1, 0, 2)
         h = h + ctx.transpose(1, 0, 2).reshape(n_new, d) @ wo
 
-    attended = len(mem_ids) + U
+    attended = len(mem_frames) + U
     report = CostReport(
         attended_frames=attended, key_tokens=attended * F, score_ops=ops
     )

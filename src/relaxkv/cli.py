@@ -3,7 +3,9 @@
 Config files are INI-style with one section per module; every key can be
 overridden on the command line with --set section.key=value. Reports embed
 the fully resolved config and a schema version, and are byte-identical for
-identical (config, seed) at a fixed BLAS thread count.
+identical (config, seed) at a fixed BLAS thread count. A JSON report holds
+exactly the bytes of ``json.dumps(report, indent=2)``, written by one orjson
+call that is read back to check it, or by json where orjson would differ.
 """
 
 from __future__ import annotations
@@ -11,11 +13,11 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import functools
 import io
 import itertools
 import json
 import operator
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -213,80 +215,52 @@ def trace_report(trace: RolloutTrace, settings: dict) -> dict:
     }
 
 
-@functools.lru_cache(maxsize=16)
-def _flat_encoder(depth: int) -> json.JSONEncoder:
-    """C encoder whose item separator starts a line at ``depth`` indents."""
-    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "))
+# orjson writes repr's shortest digits but spells some floats otherwise
+# ("1e16", "1e-7", "0.00001" for "1e+16", "1e-07", "1e-05"), each time with an
+# exponent or a "0.0000"; two literal searches, one alternation is far slower
+_RESPELL = (re.compile(rb"e[-\d]"), re.compile(rb"0\.0000"))
+_NUMBER = re.compile(rb"-?[\d.]+(?:e-?\d+)?")
 
 
-def _key(key) -> str:
-    """A dict key as json writes it, non-str keys converted as json does."""
-    if isinstance(key, str):
-        return _flat_encoder(0).encode(key)
-    return _flat_encoder(0).encode({key: 0})[1:-4]  # '{<key>: 0}'
+def _json_bytes(obj) -> bytes:
+    """The bytes of ``json.dumps(obj, indent=2)``, from one orjson call when
+    orjson writes ``obj`` as json does.
 
-
-def _float_matrix(rows, depth: int) -> str | None:
-    """``json.dumps(rows, indent=2)`` nested ``depth`` levels deep, for a list
-    or tuple of lists or tuples that hold only exact, finite floats, as one
-    orjson call; None for any other ``rows``.
-
-    orjson writes the shortest round-tripping digits, as ``repr`` does, but
-    spells some floats differently (``0.00001`` and ``1e16`` for ``1e-05`` and
-    ``1e+16``), each time with an ``e`` or a ``0.0000``: only those tokens are
-    respelled with ``repr``."""
-    if set(map(type, itertools.chain.from_iterable(rows))) != {float}:
-        return None
-    out = orjson.dumps(rows, option=orjson.OPT_INDENT_2)
-    if b"n" in out:  # NaN or an infinity, written as null; json writes NaN, Infinity
-        return None
-    tokens = set()  # (start, stop) of each token to respell
-    for marker in (b"e", b"0.0000"):
-        at = out.find(marker)
-        while at != -1:
-            # every number sits on its own line, followed by "," or nothing
-            stop = out.find(b"\n", at)
+    orjson's output is kept only if it is ASCII without DEL, which json
+    escapes, and reads back equal to ``obj``. NaN and the infinities (written
+    as null), tuples, dataclasses, datetimes and plain Enums fail the read-back
+    and go to json, as do the ints beyond 64 bits, non-str keys and float
+    subclasses that orjson rejects. Of the kept output, only the float tokens
+    orjson spells otherwise than ``repr`` are respelled with ``repr``."""
+    try:
+        out = orjson.dumps(obj, option=orjson.OPT_INDENT_2)
+    except TypeError:
+        out = None
+    if out is None or not out.isascii() or b"\x7f" in out or orjson.loads(out) != obj:
+        return json.dumps(obj, indent=2).encode()
+    tokens = {}  # start -> stop of each token to respell
+    for marker in _RESPELL:
+        for match in marker.finditer(out):
+            # a number ends its line, before a "," if one follows; the span of
+            # a match inside a string holds the string's closing quote
+            start = out.rfind(b" ", 0, match.start()) + 1
+            stop = out.find(b"\n", match.start())
+            if stop == -1:
+                stop = len(out)
             if out.endswith(b",", 0, stop):
                 stop -= 1
-            tokens.add((out.rfind(b" ", 0, at) + 1, stop))
-            at = out.find(marker, stop)
+            if _NUMBER.fullmatch(out, start, stop):
+                tokens[start] = stop
     parts, done = [], 0
-    for start, stop in sorted(tokens):
+    for start, stop in sorted(tokens.items()):
         parts += [out[done:start], repr(float(out[start:stop])).encode()]
         done = stop
     parts.append(out[done:])
-    return b"".join(parts).replace(b"\n", b"\n" + b"  " * depth).decode()
-
-
-def _indented(obj, depth: int = 0) -> str:
-    """``json.dumps(obj, indent=2)`` nested ``depth`` levels deep. json's C
-    encoder runs only without indent, so a container of scalars is one C call
-    whose separators carry the indent, and a matrix of floats is one orjson
-    call (``_float_matrix``); only other containers of containers are walked."""
-    if isinstance(obj, dict):
-        children, brackets = obj.values(), "{}"
-    elif isinstance(obj, (list, tuple)):
-        children, brackets = obj, "[]"
-    else:
-        return _flat_encoder(0).encode(obj)
-    if not obj:
-        return brackets
-    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
-    # exact types: a container, or a subclass of a scalar, takes the walk
-    kinds = set(map(type, children))
-    if kinds <= {str, int, float, bool, type(None)}:
-        parts = [_flat_encoder(depth + 1).encode(obj)[1:-1]]
-    elif isinstance(obj, dict):
-        parts = [f"{_key(k)}: {_indented(v, depth + 1)}" for k, v in obj.items()]
-    elif kinds <= {list, tuple} and (matrix := _float_matrix(obj, depth)) is not None:
-        return matrix
-    else:
-        parts = [_indented(child, depth + 1) for child in obj]
-    return brackets[0] + inner + ("," + inner).join(parts) + outer + brackets[1]
+    return b"".join(parts)
 
 
 def _write_json(path: Path, payload: dict):
-    path.write_text(_indented(payload) + "\n")
+    path.write_bytes(_json_bytes(payload) + b"\n")
 
 
 def _csv_rows(buf: io.StringIO, width: int, rows: list[tuple]):

@@ -30,7 +30,8 @@ class Frame:
     keys: np.ndarray
     values: np.ndarray
     # prototypes of the groups this frame starts, keyed by (scoring_layer,
-    # *group ids) and filled by select_memory: they are evicted with the frame
+    # *group ids) and filled by select_memory: they are evicted with the
+    # frame, and run_rollout drops a one-frame group's once it is scored no more
     prototypes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

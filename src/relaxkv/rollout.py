@@ -224,10 +224,15 @@ def run_rollout(cfg: RolloutConfig) -> RolloutTrace:
     records: list[StepRecord] = []
     features = np.empty((cfg.total_frames, cfg.model.d))
 
-    steps = zip(plan.generated.tolist(), plan.first_positions().tolist())
+    columns = (plan.generated, plan.first_positions(), plan.pool_lo)
+    steps = zip(*(col.tolist() for col in columns))
+    # A frame below the pool's lower bound, which never falls, is scored no
+    # more, so its one-frame prototype is dropped; frames below n_sink are
+    # skipped, as a one-frame sink keeps its prototype under the same key.
+    freed = plan.cfg.n_sink  # frames from n_sink up to here hold none
     step = 0
     try:
-        for step, (i, first) in enumerate(steps):
+        for step, (i, first, pool_lo) in enumerate(steps):
             chunk_ids = list(range(i, i + U))
             mem = plan.memory(step)
             scored = []
@@ -235,6 +240,10 @@ def run_rollout(cfg: RolloutConfig) -> RolloutTrace:
                 pool = plan.pools[step]
                 chosen, scored = select_memory(cache.frames, i, plan.cfg, pool)
                 mem = replace(mem, history_ids=chosen.history_ids)
+                for fid in range(freed, pool_lo):
+                    if fid in cache.frames:
+                        cache.frames[fid].prototypes.pop((plan.cfg.scoring_layer, fid), None)
+                freed = max(freed, pool_lo)
 
             hidden = stack.embed_chunk(chunk_ids)
             out, new_keys, new_values, cost = attend_chunk(hidden, mem, first, cache, stack)

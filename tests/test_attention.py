@@ -502,13 +502,15 @@ class TestKeptPrototypeProperty:
         """After every step, each prototype kept with a cached frame equals
         frame_prototype / group_prototype recomputed from its group's frames,
         bit for bit, and every group frame is cached; each prototype the step
-        read is kept, none outlives its frame, and no frame's prototype is
-        computed twice."""
+        read is kept, none outlives its frame, no one-frame prototype below
+        the pool's lower bound is kept but the sink's, and no frame's
+        prototype is computed twice."""
         mem = replace(cfg.memory, policy=policy, fixed_history_position=None,
                       scoring_layer=layer)
         cfg = replace(cfg, memory=mem)
         computed = Counter()
         refs = {}  # id -> weak reference of every kept prototype seen
+        step = {}  # the current step's pool lower bound and sink
 
         def counting(frame, scoring_layer=None):
             computed[frame.id] += 1
@@ -516,8 +518,9 @@ class TestKeptPrototypeProperty:
 
         def selecting(frames, generated_count, scfg, pool):
             result = memory_module.select_memory(frames, generated_count, scfg, pool)
+            p = partition(generated_count, scfg)
+            step.update(pool_lo=restrict_candidates(p).start, sink=p.sink_ids)
             if scfg.n_history and pool:
-                p = partition(generated_count, scfg)
                 read = [(f,) for f in pool]
                 if p.sink_ids:
                     read.append(tuple(p.sink_ids))
@@ -534,6 +537,8 @@ class TestKeptPrototypeProperty:
                 for (key_layer, *ids), proto in frame.prototypes.items():
                     assert key_layer == layer and ids[0] == frame.id
                     assert set(ids) <= set(cache.frames)
+                    if len(ids) == 1 and frame.id not in step["sink"]:
+                        assert frame.id >= step["pool_lo"]  # never scored again
                     group = [cache.frames[f] for f in ids]
                     if len(group) == 1:
                         expected = frame_prototype(frame, layer)

@@ -56,3 +56,17 @@ def test_lists_every_differing_missing_and_extra_file(tmp_path, capsys, report_s
         "differs default/relaxed/profile.csv",
     ]
     assert "3 of 4 files do not match" in captured.err
+
+
+def test_shows_the_first_differing_line_of_each_differing_file(tmp_path, capsys, report_set):
+    ref = write_set(tmp_path / "ref", FILES)
+    changed = dict(FILES)
+    changed["default/relaxed/profile.csv"] = b"step\r\n1\r\n"
+    changed["default/relaxed/rollout.json"] = b"{" + b"x" * 70 + b"}\n"
+    out = write_set(tmp_path / "out", changed)
+    assert report_set.check(out, ref) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[:2] == [
+        "default/relaxed/profile.csv line 2: ref b'0\\r\\n', out b'1\\r\\n'",
+        "default/relaxed/rollout.json line 1: ref b'{}\\n', out b'{" + "x" * 59 + "'...",
+    ]

@@ -1,14 +1,18 @@
-"""The JSON report writer emits exactly the bytes of json.dumps(indent=2), its
-orjson path for float matrices included, and the profile CSV exactly the bytes
-of csv.writer."""
+"""The JSON report writer emits exactly the bytes of json.dumps(indent=2),
+whether orjson writes the payload or the writer falls back to json, and the
+profile CSV exactly the bytes of csv.writer."""
 
+import contextlib
 import csv
+import datetime
+import enum
 import io
 import json
 import math
 import tempfile
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -37,7 +41,7 @@ floats = st.floats() | st.sampled_from(
     [-0.0, 0.0, 1e-05, 1e16, 5e-324, 1.7976931348623157e308,
      float("nan"), float("inf"), float("-inf")]
 )
-texts = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\n\t", "é☃\U0001f600", ""])
+texts = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\n\t", "\x7f", "é☃\U0001f600", ""])
 scalars = (
     st.none() | st.booleans() | floats | texts
     | st.integers() | st.integers(min_value=2**63 - 2, max_value=2**70)
@@ -56,11 +60,25 @@ trees = st.recursive(
 )
 
 
+@dataclass
+class Point:
+    """orjson writes a dataclass as an object; json rejects it."""
+
+    x: int
+    y: int
+
+
+class Color(enum.Enum):
+    """orjson writes a member of a plain Enum as its value; json rejects it."""
+
+    RED = 1
+
+
 class TestWriterBytes:
     @settings(max_examples=200, deadline=None)
     @given(obj=trees)
     def test_matches_json_dumps_indent_2(self, obj):
-        assert cli._indented(obj) + "\n" == dumps_indented(obj)
+        assert cli._json_bytes(obj).decode() + "\n" == dumps_indented(obj)
 
     @pytest.mark.parametrize(
         "obj",
@@ -74,14 +92,16 @@ class TestWriterBytes:
 
     @pytest.mark.parametrize(
         "obj",
-        [{(1, 2): 0}, {(1, 2): [0]}, [object()], {"a": [{1}]}, {"a": {"b": b"x"}}],
-        ids=["tuple-key", "tuple-key-nested", "object", "set", "bytes"],
+        [{(1, 2): 0}, {(1, 2): [0]}, [object()], {"a": [{1}]}, {"a": {"b": b"x"}},
+         [Point(1, 2)], {"at": datetime.datetime(2020, 1, 2)}, [Color.RED]],
+        ids=["tuple-key", "tuple-key-nested", "object", "set", "bytes",
+             "dataclass", "datetime", "enum"],
     )
     def test_unencodable_raises_type_error_like_json(self, obj):
         with pytest.raises(TypeError):
             json.dumps(obj, indent=2)
         with pytest.raises(TypeError):
-            cli._indented(obj)
+            cli._json_bytes(obj)
 
 
 class Float(float):
@@ -96,7 +116,7 @@ edge_floats = st.sampled_from(
 finite_floats = st.floats(allow_nan=False, allow_infinity=False) | edge_floats
 float_rows = st.lists(finite_floats, min_size=1, max_size=6)
 float_rows = float_rows | float_rows.map(tuple)
-# rows that keep a matrix off the orjson path
+# rows that are not all finite exact floats
 other_rows = (
     st.just([])
     | st.lists(finite_floats | st.sampled_from(
@@ -115,28 +135,73 @@ nested_matrices = matrices | st.recursive(
 )
 
 
-def exact_floats(matrix) -> bool:
-    cells = [x for row in matrix for x in row]
-    return bool(cells) and all(type(x) is float and math.isfinite(x) for x in cells)
-
-
 class TestFloatMatrixBytes:
     @settings(max_examples=300, deadline=None)
     @given(obj=nested_matrices)
     def test_matches_json_dumps_indent_2(self, obj):
-        assert cli._indented(obj) + "\n" == dumps_indented(obj)
+        assert cli._json_bytes(obj).decode() + "\n" == dumps_indented(obj)
 
-    @settings(max_examples=100, deadline=None)
-    @given(matrix=matrices, depth=st.integers(0, 3))
-    def test_orjson_path_taken_only_for_finite_exact_floats(self, matrix, depth):
-        """A matrix of finite exact floats is written in one orjson call; any
-        other matrix falls back to the walk."""
-        text = cli._float_matrix(matrix, depth)
-        if not exact_floats(matrix):
-            assert text is None
-        else:
-            expected = json.dumps(matrix, indent=2).replace("\n", "\n" + "  " * depth)
-            assert text == expected
+
+def needs_json(obj) -> bool:
+    """Whether ``obj`` holds what orjson rejects or writes otherwise than json:
+    a non-finite float, an int beyond 64 bits, a non-str key, a float
+    subclass, a tuple, or non-ASCII or DEL text."""
+    if isinstance(obj, tuple):
+        return True
+    if isinstance(obj, list):
+        return any(map(needs_json, obj))
+    if isinstance(obj, dict):
+        return any(
+            not isinstance(k, str) or needs_json(k) or needs_json(v) for k, v in obj.items()
+        )
+    if isinstance(obj, float):
+        return type(obj) is not float or not math.isfinite(obj)
+    if isinstance(obj, int):
+        return not -(2**63) <= obj < 2**64
+    if isinstance(obj, str):
+        return not obj.isascii() or "\x7f" in obj
+    return False
+
+
+@contextlib.contextmanager
+def fallbacks():
+    """The objects the CLI passes to ``json.dumps(..., indent=2)`` while the
+    context is open, in call order."""
+    seen = []
+
+    def dumps(obj, **kwargs):
+        if kwargs.get("indent") == 2:
+            seen.append(obj)
+        return json.dumps(obj, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "json", SimpleNamespace(dumps=dumps))
+        yield seen
+
+
+class TestWriterPath:
+    @settings(max_examples=300, deadline=None)
+    @given(obj=trees | st.lists(trees | floats.map(Float), max_size=3) | nested_matrices)
+    def test_falls_back_exactly_for_what_orjson_writes_otherwise(self, obj):
+        with fallbacks() as fell_back:
+            cli._json_bytes(obj)
+        assert len(fell_back) == needs_json(obj)
+
+    @pytest.mark.parametrize(
+        "obj, fallback",
+        [([1.0, float("nan")], True), ([float("inf")], True), ([float("-inf")], True),
+         ([2**64], True), ([2**64 - 1], False), ([-(2**63) - 1], True), ([-(2**63)], False),
+         ({1: 0}, True), ([Float(1.5)], True), ([(1,)], True), ([[]], False),
+         (["é"], True), (["\x7f"], True), ({"\x7f": 0}, True), (["~\x00\n"], False),
+         ({"a": [1e16, 1e-05, -0.0, 5e-324, "1e16", "x 1e-7", None, True]}, False),
+         ({"b 1e16": 0.00001, "c": "y 0.00001"}, False)],
+        ids=repr,
+    )
+    def test_falls_back_for_each_kind(self, obj, fallback):
+        with fallbacks() as fell_back:
+            text = cli._json_bytes(obj).decode()
+        assert text + "\n" == dumps_indented(obj)
+        assert fell_back == ([obj] if fallback else [])
 
 
 @pytest.fixture
@@ -160,20 +225,36 @@ def assert_reports_match(seen):
 
 
 class TestReportBytes:
+    """Every report the CLI writes as JSON is written by orjson, never by the
+    json fallback."""
+
     @pytest.mark.parametrize("policy", POLICIES)
     def test_rollout_report(self, tmp_path, payloads, policy):
         args = ["rollout", "--seed", "5", "--out", str(tmp_path),
                 "--set", f"memory.policy={policy}"]
-        assert main(args) == 0
+        with fallbacks() as fell_back:
+            assert main(args) == 0
+        assert fell_back == []
+        assert_reports_match(payloads)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_profile_report(self, tmp_path, payloads, policy):
+        args = ["profile", "--seed", "5", "--format", "json", "--out", str(tmp_path),
+                "--set", f"memory.policy={policy}"]
+        with fallbacks() as fell_back:
+            assert main(args) == 0
+        assert fell_back == []
         assert_reports_match(payloads)
 
     def test_sweep_and_compare_reports(self, tmp_path, payloads):
         grid = "memory.policy=" + ",".join(POLICIES)
-        assert main(["sweep", "--seed", "5", "--format", "json", "--out",
-                     str(tmp_path), "--grid", grid,
-                     "--grid", "memory.n_sink=0,2"]) == 0
-        assert main(["compare", "--seed", "5", "--format", "json", "--out",
-                     str(tmp_path), "--policies", ",".join(POLICIES)]) == 0
+        with fallbacks() as fell_back:
+            assert main(["sweep", "--seed", "5", "--format", "json", "--out",
+                         str(tmp_path), "--grid", grid,
+                         "--grid", "memory.n_sink=0,2"]) == 0
+            assert main(["compare", "--seed", "5", "--format", "json", "--out",
+                         str(tmp_path), "--policies", ",".join(POLICIES)]) == 0
+        assert fell_back == []
         assert [path.name for path, _ in payloads] == ["sweep.json", "compare.json"]
         assert_reports_match(payloads)
 

@@ -6,14 +6,16 @@ two versions of relaxkv.
 Run it once per tree (for example a `git worktree` of the parent commit and
 the working tree) into two directories. With `--check REF`, it then compares
 OUT with the set in REF byte for byte and exits 1 listing every file that
-differs, is missing from OUT or is extra in OUT; it exits 0 when the sets are
-the same. The set is 8 policies x 10 variants x {rollout json, profile json,
+differs, is missing from OUT or is extra in OUT, and, on stderr, the first
+line on which each differing file differs; it exits 0 when the sets are the
+same. The set is 8 policies x 10 variants x {rollout json, profile json,
 profile csv}, plus an 8-policy x n_sink {0,2} sweep and an 8-policy compare,
 each in csv and json, all with seed 1. Every call goes through
 `relaxkv.cli.main` and must exit 0.
 """
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -88,17 +90,33 @@ def _files(root: Path) -> set[Path]:
     return {f.relative_to(root) for f in root.rglob("*") if f.is_file()}
 
 
+def first_difference(ref: bytes, out: bytes, width: int = 60) -> str:
+    """The first line, numbered from 1, on which ``out`` differs from ``ref``,
+    with both lines, line ends included, cut to ``width`` bytes; the two must
+    differ."""
+    pairs = itertools.zip_longest(ref.splitlines(True), out.splitlines(True), fillvalue=b"")
+    number, lines = next((n, p) for n, p in enumerate(pairs, 1) if p[0] != p[1])
+    ref_line, out_line = (
+        repr(line[:width]) + ("..." if len(line) > width else "") for line in lines
+    )
+    return f"line {number}: ref {ref_line}, out {out_line}"
+
+
 def check(out: Path, ref: Path) -> int:
     """Compare the set in ``out`` with the one in ``ref``, byte for byte."""
     written, expected = _files(out), _files(ref)
-    problems = [f"missing {f}" for f in sorted(expected - written)]
-    problems += [f"extra {f}" for f in sorted(written - expected)]
-    problems += [
-        f"differs {f}" for f in sorted(written & expected)
+    differing = [
+        f for f in sorted(written & expected)
         if (out / f).read_bytes() != (ref / f).read_bytes()
     ]
+    problems = [f"missing {f}" for f in sorted(expected - written)]
+    problems += [f"extra {f}" for f in sorted(written - expected)]
+    problems += [f"differs {f}" for f in differing]
     for line in problems:
         print(line)
+    for f in differing:
+        print(f"{f} {first_difference((ref / f).read_bytes(), (out / f).read_bytes())}",
+              file=sys.stderr)
     if problems:
         print(f"{len(problems)} of {len(written | expected)} files do not match {ref}",
               file=sys.stderr)
