@@ -24,15 +24,12 @@ _ZERO_NORM = 1e-12
 
 @dataclass(frozen=True)
 class Frame:
-    """One generated frame: per-layer key/value blocks of shape (layers, F, d)."""
+    """One generated frame: per-layer key/value blocks of shape (layers, F, d).
+    The rollout keeps its scoring mean key apart, as a row of ``mean_keys``."""
 
     id: int
     keys: np.ndarray
     values: np.ndarray
-    # prototypes of the groups this frame starts, keyed by (scoring_layer,
-    # *group ids) and filled by select_memory: they are evicted with the
-    # frame, and run_rollout drops a one-frame group's once it is scored no more
-    prototypes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.id < 0:
@@ -139,11 +136,23 @@ def _pooled_keys(frame: Frame, scoring_layer: int | None) -> np.ndarray:
     return frame.keys[scoring_layer]
 
 
-def _normalize(vec: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(vec))
-    if norm < _ZERO_NORM:
+def mean_keys(keys: np.ndarray, scoring_layer: int | None) -> np.ndarray:
+    """Mean key of each frame of a chunk's ``(layers, U, F, d)`` keys, one row
+    per frame. Row j equals ``_pooled_keys(frame j).mean(axis=0)`` bit for
+    bit: the same rows are summed in the same order."""
+    if scoring_layer is None:
+        U, d = keys.shape[1], keys.shape[3]
+        return keys.transpose(1, 0, 2, 3).reshape(U, -1, d).mean(axis=1)
+    return keys[scoring_layer].mean(axis=1)
+
+
+def _normalize(v: np.ndarray) -> np.ndarray:
+    """``v`` over its norm, row by row for a matrix; a row whose norm is
+    below the bound has no direction."""
+    norm = np.sqrt(np.vecdot(v, v))
+    if (norm < _ZERO_NORM).any():
         raise DegeneratePrototypeError("key block has zero mean; no prototype direction")
-    return vec / norm
+    return v / norm[..., None]
 
 
 def frame_prototype(frame: Frame, scoring_layer: int | None = None) -> np.ndarray:
@@ -157,20 +166,6 @@ def group_prototype(frames: list[Frame], scoring_layer: int | None = None) -> np
         raise EmptyGroupError("cannot build a prototype from an empty group")
     pooled = np.concatenate([_pooled_keys(f, scoring_layer) for f in frames], axis=0)
     return _normalize(pooled.mean(axis=0))
-
-
-def _kept_prototype(group: list[Frame], scoring_layer: int | None) -> np.ndarray:
-    """``group_prototype(group, scoring_layer)``, computed once and kept with
-    the group's first frame. A one-frame group's is its ``frame_prototype``, bit
-    for bit: the same mean over the same contiguous block of pooled keys."""
-    key = (scoring_layer, *(f.id for f in group))
-    kept = group[0].prototypes
-    if key not in kept:
-        if len(group) == 1:
-            kept[key] = frame_prototype(group[0], scoring_layer)
-        else:
-            kept[key] = group_prototype(group, scoring_layer)
-    return kept[key]
 
 
 def score_candidate(
@@ -212,11 +207,16 @@ def _cached(frames: dict[int, Frame], ids) -> list[Frame]:
 
 
 def select_memory(
-    frames: dict[int, Frame], generated_count: int, cfg: MemoryConfig, pool: list[int]
+    frames: dict[int, Frame], means: np.ndarray, generated_count: int,
+    cfg: MemoryConfig, pool: list[int],
 ) -> tuple[StructuredMemory, list[ScoredCandidate]]:
-    """Full selection for one step over its ``pool``, the
-    ``sample_pool`` of its restricted candidates: prototype, score, top-k,
-    assemble with the step's sink and tail."""
+    """Full selection for one step over its ``pool``, the ``sample_pool`` of
+    its restricted candidates: prototype, score, top-k, assemble with the
+    step's sink and tail. A pool frame's prototype, and a one-frame tail's,
+    is its normalized row of ``means``, every generated frame's ``mean_keys``
+    under ``cfg.scoring_layer``; the sink and a longer tail are
+    ``group_prototype``s. An evicted frame's row still holds a value, so every
+    sink, tail and pool frame is checked to be cached."""
     sink_stop, tail_start = region_bounds(generated_count, cfg)
     sink, tail = list(range(sink_stop)), list(range(tail_start, generated_count))
     if not pool or cfg.n_history == 0:
@@ -225,16 +225,17 @@ def select_memory(
     layer = cfg.scoring_layer
     sink_frames = _cached(frames, sink)
     tail_frames = _cached(frames, tail)
-    # a frame's prototype and the sink's are read again at later steps; a tail
-    # of several frames changes every step, so its prototype is not kept
-    proto_sink = _kept_prototype(sink_frames, layer) if sink_frames else None
-    if len(tail_frames) == 1:
-        proto_tail = _kept_prototype(tail_frames, layer)
+    _cached(frames, pool)
+    one_tail = len(tail) == 1
+    protos = _normalize(means[pool + tail if one_tail else pool])
+    proto_sink = group_prototype(sink_frames, layer) if sink_frames else None
+    if one_tail:
+        proto_tail = protos[-1]
     else:
         proto_tail = group_prototype(tail_frames, layer) if tail_frames else None
 
     scored = [
-        score_candidate(f.id, _kept_prototype([f], layer), proto_sink, proto_tail, cfg.lam)
-        for f in _cached(frames, pool)
+        score_candidate(fid, proto, proto_sink, proto_tail, cfg.lam)
+        for fid, proto in zip(pool, protos)
     ]
     return StructuredMemory(sink, select_history(scored, cfg.n_history), tail), scored

@@ -20,6 +20,7 @@ from .memory import (
     Frame,
     ScoredCandidate,
     StructuredMemory,
+    mean_keys,
     partition,
     region_bounds,
     restrict_candidates,
@@ -223,27 +224,20 @@ def run_rollout(cfg: RolloutConfig) -> RolloutTrace:
     expired = eviction_schedule(plan)
     records: list[StepRecord] = []
     features = np.empty((cfg.total_frames, cfg.model.d))
+    # every frame's scoring mean key, the rows select_memory reads
+    means = np.empty((cfg.total_frames, cfg.model.d)) if plan.scored else None
 
-    columns = (plan.generated, plan.first_positions(), plan.pool_lo)
-    steps = zip(*(col.tolist() for col in columns))
-    # A frame below the pool's lower bound, which never falls, is scored no
-    # more, so its one-frame prototype is dropped; frames below n_sink are
-    # skipped, as a one-frame sink keeps its prototype under the same key.
-    freed = plan.cfg.n_sink  # frames from n_sink up to here hold none
+    steps = zip(plan.generated.tolist(), plan.first_positions().tolist())
     step = 0
     try:
-        for step, (i, first, pool_lo) in enumerate(steps):
+        for step, (i, first) in enumerate(steps):
             chunk_ids = list(range(i, i + U))
             mem = plan.memory(step)
             scored = []
             if plan.scored:
                 pool = plan.pools[step]
-                chosen, scored = select_memory(cache.frames, i, plan.cfg, pool)
+                chosen, scored = select_memory(cache.frames, means, i, plan.cfg, pool)
                 mem = replace(mem, history_ids=chosen.history_ids)
-                for fid in range(freed, pool_lo):
-                    if fid in cache.frames:
-                        cache.frames[fid].prototypes.pop((plan.cfg.scoring_layer, fid), None)
-                freed = max(freed, pool_lo)
 
             hidden = stack.embed_chunk(chunk_ids)
             out, new_keys, new_values, cost = attend_chunk(hidden, mem, first, cache, stack)
@@ -252,6 +246,8 @@ def run_rollout(cfg: RolloutConfig) -> RolloutTrace:
                 for j, fid in enumerate(chunk_ids)
             ]
             append_and_evict(cache, new_frames, expired[step])
+            if plan.scored:
+                means[i : i + U] = mean_keys(new_keys, plan.cfg.scoring_layer)
 
             features[i : i + U] = out.mean(axis=1)
             records.append(

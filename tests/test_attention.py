@@ -1,6 +1,4 @@
 import math
-import weakref
-from collections import Counter
 from dataclasses import replace
 from unittest import mock
 
@@ -31,7 +29,7 @@ from relaxkv import (
 )
 from relaxkv.cli import profile_rows
 from relaxkv.errors import CacheMissError
-from relaxkv.memory import frame_prototype, group_prototype
+from relaxkv.memory import frame_prototype, group_prototype, score_candidate
 from relaxkv.rollout import eviction_schedule, memory_plan, structured_step_memory
 
 from test_memory import list_regions
@@ -487,7 +485,12 @@ def scored_config(n_sink, n_tail, bounded, layer):
     return RolloutConfig(memory=mem, model=TINY, total_frames=60, seed=3)
 
 
-class TestKeptPrototypeProperty:
+def hexed(scored):
+    return [(s.frame_id, *(x.hex() for x in (s.stability, s.redundancy, s.relaxation)))
+            for s in scored]
+
+
+class TestScoredEqualsRecomputedProperty:
     @settings(max_examples=100, deadline=None)
     @given(
         cfg=rollout_configs(),
@@ -498,62 +501,31 @@ class TestKeptPrototypeProperty:
     @example(cfg=scored_config(0, 2, True, 1), policy=Policy.RELAXED, layer=1)
     @example(cfg=scored_config(2, 3, False, 0), policy=Policy.RELAXED, layer=0)
     @example(cfg=scored_config(2, 2, True, None), policy=Policy.HISTORY_ONLY, layer=None)
-    def test_kept_prototypes_equal_recomputed_ones(self, cfg, policy, layer):
-        """After every step, each prototype kept with a cached frame equals
-        frame_prototype / group_prototype recomputed from its group's frames,
-        bit for bit, and every group frame is cached; each prototype the step
-        read is kept, none outlives its frame, no one-frame prototype below
-        the pool's lower bound is kept but the sink's, and no frame's
-        prototype is computed twice."""
+    def test_scores_equal_recomputed_prototypes(self, cfg, policy, layer):
+        """Every scored step's record holds, bit for bit, its pool's scores
+        recomputed with frame_prototype and group_prototype from the frames
+        cached when it selected."""
         mem = replace(cfg.memory, policy=policy, fixed_history_position=None,
                       scoring_layer=layer)
         cfg = replace(cfg, memory=mem)
-        computed = Counter()
-        refs = {}  # id -> weak reference of every kept prototype seen
-        step = {}  # the current step's pool lower bound and sink
+        expected = {}  # generated count -> recomputed scores
 
-        def counting(frame, scoring_layer=None):
-            computed[frame.id] += 1
-            return frame_prototype(frame, scoring_layer)
-
-        def selecting(frames, generated_count, scfg, pool):
-            result = memory_module.select_memory(frames, generated_count, scfg, pool)
+        def selecting(frames, means, generated_count, scfg, pool):
+            result = memory_module.select_memory(frames, means, generated_count, scfg, pool)
             p = partition(generated_count, scfg)
-            step.update(pool_lo=restrict_candidates(p).start, sink=p.sink_ids)
-            if scfg.n_history and pool:
-                read = [(f,) for f in pool]
-                if p.sink_ids:
-                    read.append(tuple(p.sink_ids))
-                if len(p.tail_ids) == 1:
-                    read.append(tuple(p.tail_ids))
-                for ids in read:
-                    assert (layer, *ids) in frames[ids[0]].prototypes
+            sink = [frames[f] for f in p.sink_ids]
+            tail = [frames[f] for f in p.tail_ids]
+            proto_sink = group_prototype(sink, layer) if sink else None
+            proto_tail = group_prototype(tail, layer) if tail else None
+            expected[generated_count] = [
+                score_candidate(fid, frame_prototype(frames[fid], layer),
+                                proto_sink, proto_tail, scfg.lam)
+                for fid in (pool if scfg.n_history else [])
+            ]
             return result
 
-        def checking(cache, new_frames, expired):
-            append_and_evict(cache, new_frames, expired)
-            held = {}
-            for frame in cache.frames.values():
-                for (key_layer, *ids), proto in frame.prototypes.items():
-                    assert key_layer == layer and ids[0] == frame.id
-                    assert set(ids) <= set(cache.frames)
-                    if len(ids) == 1 and frame.id not in step["sink"]:
-                        assert frame.id >= step["pool_lo"]  # never scored again
-                    group = [cache.frames[f] for f in ids]
-                    if len(group) == 1:
-                        expected = frame_prototype(frame, layer)
-                    else:
-                        expected = group_prototype(group, layer)
-                    assert proto.tobytes() == expected.tobytes()
-                    held[id(proto)] = proto
-                    if id(proto) not in refs or refs[id(proto)]() is not proto:
-                        refs[id(proto)] = weakref.ref(proto)
-            alive = {key for key, ref in refs.items() if ref() is not None}
-            assert alive == set(held)
-            return cache
-
-        with mock.patch.object(memory_module, "frame_prototype", counting), \
-                mock.patch.object(rollout_module, "select_memory", selecting), \
-                mock.patch.object(rollout_module, "append_and_evict", checking):
-            run_rollout(cfg)
-        assert all(n == 1 for n in computed.values())
+        with mock.patch.object(rollout_module, "select_memory", selecting):
+            trace = run_rollout(cfg)
+        assert len(expected) == len(trace.records)
+        for rec in trace.records:
+            assert hexed(rec.scored) == hexed(expected[rec.generated_before])

@@ -1,13 +1,18 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relaxkv.cli import main
+from relaxkv.config import Policy
 from relaxkv.errors import ContractViolationError
 
 
@@ -407,6 +412,54 @@ class TestOutputPath:
         err = capsys.readouterr().err
         assert err.startswith("config error") and str(report) in err
         assert report.is_dir() and not any(report.iterdir())
+
+
+@st.composite
+def config_settings(draw):
+    """--set overrides over the whole config space, valid or not, with few
+    frames."""
+    chunk = draw(st.integers(1, 4))
+    n_history = draw(st.integers(0, 3))
+    values = {
+        "model.layers": draw(st.integers(1, 4)),
+        "model.heads": draw(st.integers(1, 3)),
+        "model.head_dim": draw(st.sampled_from([2, 4, 6, 8, 3])),
+        "model.frame_tokens": draw(st.integers(1, 4)),
+        "model.rotary_base": draw(st.floats(1.0001, 1e12)),
+        "memory.policy": draw(st.sampled_from([p.value for p in Policy])),
+        "memory.n_sink": draw(st.integers(0, 3)),
+        "memory.n_history": n_history,
+        "memory.n_tail": draw(st.integers(0, 3)),
+        "memory.pool_size": draw(st.integers(max(0, n_history - 1), 5)),
+        "memory.lambda": draw(st.floats(0.0, 1e300)),
+        "memory.chunk_size": chunk,
+        "memory.window_size": draw(st.integers(chunk - 1, chunk + 10)),
+        "memory.fixed_history_position": draw(st.none() | st.integers(0, 8)),
+        "memory.bounded_cache": draw(st.booleans()),
+        "memory.scoring_layer": draw(st.none() | st.integers(0, 3)),
+        "rollout.total_frames": draw(st.integers(1, 8)) * chunk + draw(st.sampled_from([0, 0, 1])),
+    }
+    return [f"{key}={'none' if v is None else str(v).lower()}" for key, v in values.items()]
+
+
+@settings(max_examples=500, deadline=None)
+@given(config_settings())
+def test_every_config_writes_its_report_or_is_rejected_at_config_time(sets):
+    """A valid config runs to a written report; an invalid one exits 2 with a
+    config error before any step runs, leaving no output directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        args = ["rollout", "--seed", "1", "--out", str(out),
+                *(a for s in sets for a in ("--set", s))]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(args)
+        if code == 0:
+            assert json.loads((out / "rollout.json").read_text())["steps"]
+        else:
+            assert code == 2, err.getvalue()
+            assert err.getvalue().startswith("config error")
+            assert not out.exists()
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs")

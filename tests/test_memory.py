@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from relaxkv import (
+    Frame,
     MemoryConfig,
     ScoredCandidate,
     frame_prototype,
@@ -19,6 +20,7 @@ from relaxkv.errors import (
     DegeneratePrototypeError,
     EmptyGroupError,
 )
+from relaxkv.memory import _normalize, _pooled_keys, mean_keys
 from relaxkv.rollout import structured_step_memory
 
 from conftest import make_frame, random_unit
@@ -264,6 +266,15 @@ class TestSelectHistory:
             )
 
 
+def mean_rows(frames):
+    """The rollout's mean-key array for ``frames``: row f is frame f's pooled
+    keys averaged."""
+    means = np.zeros((max(frames) + 1, next(iter(frames.values())).keys.shape[-1]))
+    for fid, f in frames.items():
+        means[fid] = _pooled_keys(f, None).mean(axis=0)
+    return means
+
+
 class TestSelectMemoryAssembly:
     def test_assembly(self):
         # at i=10 the defaults score the pool 6, 7, 8; only 7 leans to the sink
@@ -272,7 +283,7 @@ class TestSelectMemoryAssembly:
             fid: make_frame(fid, [to_sink if fid in (0, 1, 7) else to_tail])
             for fid in range(10)
         }
-        mem, scored = select_memory(frames, 10, DEFAULTS, [6, 7, 8])
+        mem, scored = select_memory(frames, mean_rows(frames), 10, DEFAULTS, [6, 7, 8])
         assert mem.sink_ids == [0, 1]
         assert mem.history_ids == [7]
         assert mem.tail_ids == [9]
@@ -280,7 +291,7 @@ class TestSelectMemoryAssembly:
         assert [s.frame_id for s in scored] == [6, 7, 8]
 
     def test_history_free(self):
-        mem, scored = select_memory({}, 10, DEFAULTS, [])
+        mem, scored = select_memory({}, np.empty((0, 4)), 10, DEFAULTS, [])
         assert mem.all_ids == [0, 1, 9]
         assert scored == []
 
@@ -297,7 +308,76 @@ def test_pool_clamp_selects_whole_pool(rng):
 
 
 def test_select_memory_names_a_scored_frame_missing_from_cache(rng):
-    # at i=30 the defaults score the pool 16, 20, 24, 28
-    frames = {fid: make_frame(fid, [random_unit(rng, 4)]) for fid in range(30) if fid != 20}
+    # at i=30 the defaults score the pool 16, 20, 24, 28; frame 20 is evicted
+    # but its row of the mean-key array still holds a value
+    frames = {fid: make_frame(fid, [random_unit(rng, 4)]) for fid in range(30)}
+    means = mean_rows(frames)
+    del frames[20]
     with pytest.raises(CacheMissError, match="frame 20 missing from cache"):
-        select_memory(frames, 30, DEFAULTS, [16, 20, 24, 28])
+        select_memory(frames, means, 30, DEFAULTS, [16, 20, 24, 28])
+
+
+@pytest.mark.parametrize("zero, raises", [(4, False), (7, True)])
+def test_zero_mean_frame_raises_only_in_the_pool(rng, zero, raises):
+    # at i=10 the defaults score the pool 6, 7, 8; frame 4 is a candidate
+    # outside it
+    frames = {
+        fid: make_frame(fid, [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]] if fid == zero
+                        else [random_unit(rng, 3)])
+        for fid in range(10)
+    }
+    if raises:
+        with pytest.raises(DegeneratePrototypeError):
+            select_memory(frames, mean_rows(frames), 10, DEFAULTS, [6, 7, 8])
+    else:
+        _, scored = select_memory(frames, mean_rows(frames), 10, DEFAULTS, [6, 7, 8])
+        assert [s.frame_id for s in scored] == [6, 7, 8]
+
+
+def reference_normalize(v):
+    """The one-vector normalization the row-wise one replaced."""
+    return v / float(np.linalg.norm(v))
+
+
+scales = st.floats(1e-150, 1e150) | st.integers(-150, 150).map(lambda e: 10.0**e)
+
+
+class TestMeanKeyRows:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        layers=st.integers(1, 4),
+        U=st.integers(1, 5),
+        F=st.integers(1, 8),
+        d=st.integers(2, 64),
+        layer=st.none() | st.integers(0, 3),
+        scale=scales,
+        zero_row=st.none() | st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(layers=2, U=3, F=4, d=8, layer=None, scale=1e-13, zero_row=None, seed=0)
+    @example(layers=1, U=2, F=1, d=2, layer=0, scale=1e150, zero_row=1, seed=0)
+    def test_rows_equal_per_frame_means_and_normalize_per_row(
+        self, layers, U, F, d, layer, scale, zero_row, seed
+    ):
+        """mean_keys row j is frame j's pooled keys averaged, and the row-wise
+        _normalize is the one-vector reference on every row, bit for bit; a
+        row below the norm bound raises."""
+        if layer is not None:
+            layer %= layers
+        keys = np.random.default_rng(seed).normal(size=(layers, U, F, d)) * scale
+        if zero_row is not None:  # a frame whose keys cancel: zero mean
+            keys[:, zero_row % U] = 0.0
+        rows = mean_keys(keys, layer)
+        assert rows.shape == (U, d)
+        for j in range(U):
+            frame = Frame(id=j, keys=keys[:, j], values=keys[:, j])
+            assert rows[j].tobytes() == _pooled_keys(frame, layer).mean(axis=0).tobytes()
+
+        norms = [float(np.linalg.norm(row)) for row in rows]
+        if min(norms) < 1e-12:
+            with pytest.raises(DegeneratePrototypeError):
+                _normalize(rows)
+            return
+        expected = np.array([reference_normalize(row) for row in rows])
+        assert _normalize(rows).tobytes() == expected.tobytes()
+        assert _normalize(rows[0]).tobytes() == expected[0].tobytes()

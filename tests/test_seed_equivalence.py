@@ -32,6 +32,16 @@ VARIANTS = {
         "memory.bounded_cache=true", "memory.window_size=10",
         "memory.scoring_layer=1", "rollout.total_frames=36",
     ],
+    # the prototype paths of selection: a tail of several frames, no sink,
+    # and a one-frame sink
+    "sink3-tail3-history2-pool5": [
+        "memory.n_sink=3", "memory.n_tail=3", "memory.n_history=2",
+        "memory.pool_size=5", "rollout.total_frames=90",
+    ],
+    "sink0-tail3": ["memory.n_sink=0", "memory.n_tail=3", "rollout.total_frames=90"],
+    "sink1-layer0": [
+        "memory.n_sink=1", "memory.scoring_layer=0", "rollout.total_frames=90",
+    ],
 }
 
 
