@@ -5,7 +5,11 @@ overridden on the command line with --set section.key=value. Reports embed
 the fully resolved config and a schema version, and are byte-identical for
 identical (config, seed) at a fixed BLAS thread count. A JSON report holds
 exactly the bytes of ``json.dumps(report, indent=2)``, written by one orjson
-call that is read back to check it, or by json where orjson would differ.
+call that is read back to check it, or by json where orjson would differ. A
+CSV table holds exactly the bytes of ``csv.writer``; the profile table, all
+non-negative ints, is written from the memory plan's columns by one numpy
+digit kernel. The argument parser is built on the first ``main`` call and
+shared by every later call in the process.
 """
 
 from __future__ import annotations
@@ -13,12 +17,14 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import io
 import itertools
 import json
 import operator
 import re
 import sys
+from collections.abc import Sequence
 from dataclasses import fields
 from pathlib import Path
 
@@ -27,7 +33,7 @@ import orjson
 
 from .attention import count_step_cost, step_costs
 from .config import MemoryConfig, ModelParams, Policy, RolloutConfig
-from .errors import ConfigError, RelaxKVError
+from .errors import ConfigError, ContractViolationError, RelaxKVError
 from .memory import StructuredMemory
 from .memory import (  # noqa: F401  (perfbench/spans.py wraps them by name here)
     partition, restrict_candidates, sample_pool,
@@ -263,23 +269,17 @@ def _write_json(path: Path, payload: dict):
     path.write_bytes(_json_bytes(payload) + b"\n")
 
 
-def _csv_rows(buf: io.StringIO, width: int, rows: list[tuple]):
-    csv.writer(buf).writerows(rows)
+def _csv_head(settings: dict, header: Sequence[str]) -> io.StringIO:
+    """A CSV table's two preamble lines and its header row."""
+    buf = io.StringIO()
+    buf.write(f"# schema_version: {SCHEMA_VERSION}\n")
+    buf.write(f"# config: {json.dumps(resolved_config_dict(settings))}\n")
+    csv.writer(buf).writerow(header)
+    return buf
 
 
-def _int_csv_rows(buf: io.StringIO, width: int, rows: list[tuple]):
-    """CSV rows whose cells are all ints, in the bytes csv.writer writes: an int
-    needs no quoting and ``format(n) == str(n)``; one template per row."""
-    template = ",".join(["{}"] * width) + "\r\n"
-    buf.write("".join(itertools.starmap(template.format, rows)))
-
-
-def _write_table(
-    path: Path, fmt: str, settings: dict, header: list[str], rows: list[tuple],
-    write_rows=_csv_rows,
-):
-    """A table of ``rows``, tuples in ``header`` order, as CSV or JSON. CSV
-    rows go through ``write_rows(buf, len(header), rows)``."""
+def _write_table(path: Path, fmt: str, settings: dict, header: list[str], rows: list[tuple]):
+    """A table of ``rows``, tuples in ``header`` order, as CSV or JSON."""
     if fmt == "json":
         _write_json(
             path,
@@ -290,20 +290,70 @@ def _write_table(
             },
         )
         return
-    buf = io.StringIO()
-    buf.write(f"# schema_version: {SCHEMA_VERSION}\n")
-    buf.write(f"# config: {json.dumps(resolved_config_dict(settings))}\n")
-    csv.writer(buf).writerow(header)
-    write_rows(buf, len(header), rows)
+    buf = _csv_head(settings, header)
+    csv.writer(buf).writerows(rows)
     path.write_text(buf.getvalue())
+
+
+def _exact(col: np.ndarray) -> np.ndarray:
+    """An int column as int64 where every cell fits, else as it is: an object
+    array of Python ints beyond 64 bits."""
+    if col.dtype == object:
+        try:
+            return col.astype(np.int64)
+        except OverflowError:
+            pass
+    return col
+
+
+def _int_csv_body(columns: list[np.ndarray]) -> bytes:
+    """The rows ``zip(*columns)`` of non-negative ints in the bytes csv.writer
+    writes: an int needs no quoting and is written as ``str(n)``, and every row
+    ends in ``\\r\\n``.
+
+    All rows are laid out in one uint8 table of ASCII, a column of the table
+    per decimal place of each cell, as wide as the column's largest value,
+    then a ``,`` or the line end. The digit of place ``k`` is
+    ``col // 10**k % 10``, by a scalar divisor, which numpy divides by much
+    faster than by an array of powers; a leading zero is NUL, and one mask
+    drops every NUL."""
+    rows = len(columns[0])
+    if rows == 0:
+        return b""
+    columns = list(map(_exact, columns))
+    if any(col.min() < 0 for col in columns):
+        raise ContractViolationError("a CSV cell written as digits is negative")
+    widths = [len(str(col.max())) for col in columns]
+    table = np.empty((rows, sum(widths) + len(widths) + 1), np.uint8)
+    at = 0
+    for col, width in zip(columns, widths):
+        for k in range(width - 1, -1, -1):
+            place = col // 10**k
+            table[:, at] = place % 10 + ord("0")
+            if k:
+                table[place == 0, at] = 0
+            at += 1
+        table[:, at] = ord(",")
+        at += 1
+    table[:, -2:] = np.frombuffer(b"\r\n", np.uint8)  # over the last ","
+    return table[table != 0].tobytes()
+
+
+def _write_int_csv(
+    path: Path, settings: dict, header: Sequence[str], columns: list[np.ndarray]
+):
+    """A CSV table whose cells are all non-negative ints, given as columns."""
+    path.write_bytes(_csv_head(settings, header).getvalue().encode() + _int_csv_body(columns))
 
 
 def _out_dir(raw: str) -> Path:
     """The --out directory, checked before any run but not made: an existing
-    part of its path that is not a directory would fail mkdir after the run."""
+    part of its path that is not a directory, or a dangling link, would fail
+    mkdir after the run."""
     out = Path(raw)
     for part in (out, *out.parents):
-        if part.exists() and not part.is_dir():
+        # a dangling link does not exist, but mkdir cannot pass through it
+        if (part.exists() or part.is_symlink()) and not part.is_dir():
             raise ConfigError(f"--out {raw}: {part} is not a directory")
     return out
 
@@ -402,32 +452,41 @@ def _fmt_cell(value):
     return value
 
 
-def profile_rows(cfg: RolloutConfig) -> tuple[list[str], list[tuple]]:
-    """Structural memory sizes and cost of every step, no generation: the
-    header and one row per step, computed for all steps at once from the
-    memory plan's columns."""
+PROFILE_HEADER = (
+    "step", "generated_before", "n_sink", "n_history", "n_tail",
+    "attended_frames", "key_tokens", "score_ops",
+)
+
+
+def profile_columns(cfg: RolloutConfig) -> list[np.ndarray]:
+    """Structural memory sizes and cost of every step, no generation: one
+    column per ``PROFILE_HEADER`` name, computed for all steps at once from the
+    memory plan's columns. The costs are object arrays of Python ints, so score
+    ops stay exact where int64 would wrap."""
     U = cfg.memory.chunk_size
     plan = memory_plan(cfg.memory, np.arange(0, cfg.total_frames, U))
     sizes = plan.sizes()
     attended = sum(sizes) + U
     costs = step_costs(attended.astype(object), U, cfg.model.frame_tokens, cfg.model)
-    header = [
-        "step", "generated_before", "n_sink", "n_history", "n_tail",
-        "attended_frames", "key_tokens", "score_ops",
-    ]
-    columns = [np.arange(len(plan.generated)), plan.generated, *sizes, *costs]
-    return header, list(zip(*(col.tolist() for col in columns)))
+    return [np.arange(len(plan.generated)), plan.generated, *sizes, *costs]
+
+
+def profile_rows(cfg: RolloutConfig) -> tuple[list[str], list[tuple]]:
+    """The profile table: its header and one tuple of ints per step."""
+    columns = profile_columns(cfg)
+    return list(PROFILE_HEADER), list(zip(*(col.tolist() for col in columns)))
 
 
 def cmd_profile(args) -> int:
     settings = load_settings(args.config, args.set, args.seed)
     cfg = build_config(settings)
     out = _out_dir(args.out)
-    header, rows = profile_rows(cfg)
-    _save(
-        out, f"profile.{args.format}", _write_table, args.format, settings, header, rows,
-        write_rows=_int_csv_rows,  # every profile cell is an int
-    )
+    if args.format == "json":
+        _save(out, "profile.json", _write_table, "json", settings, *profile_rows(cfg))
+    else:
+        _save(
+            out, "profile.csv", _write_int_csv, settings, PROFILE_HEADER, profile_columns(cfg)
+        )
     return 0
 
 
@@ -496,7 +555,11 @@ def _add_table(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one.
+    It names the subcommand; ``main`` looks up its ``cmd_*`` function at call
+    time, so a function replaced on this module after the first build runs."""
     parser = argparse.ArgumentParser(
         prog="relaxkv",
         description="Structured KV-memory rollout simulator",
@@ -505,7 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rollout", help="run one rollout and write a trace report")
     _add_common(p)
-    p.set_defaults(func=cmd_rollout)
 
     p = sub.add_parser("sweep", help="run a config grid and write a table")
     _add_table(p)
@@ -513,11 +575,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid", action="append", default=[], metavar="SECTION.KEY=V1,V2,...",
         help="grid axis (repeatable)",
     )
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("profile", help="cost accounting only, no generation")
     _add_table(p)
-    p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("compare", help="run several policies on identical seeds")
     _add_table(p)
@@ -525,14 +585,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--policies", action="append", default=[], metavar="P1,P2,...",
         help="policies to compare (repeatable or comma separated)",
     )
-    p.set_defaults(func=cmd_compare)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

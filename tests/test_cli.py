@@ -385,7 +385,8 @@ class TestOutputPath:
         def no_run(*args):
             raise AssertionError("ran before --out was checked")
 
-        for name in ("run_rollout", "run_sweep", "profile_rows"):
+        # every computation a subcommand makes before writing, in every format
+        for name in ("run_rollout", "run_sweep", "profile_rows", "profile_columns"):
             monkeypatch.setattr(cli_mod, name, no_run)
 
     @pytest.mark.parametrize("command", list(COMMANDS))
@@ -402,6 +403,20 @@ class TestOutputPath:
         assert blocker.read_text() == "keep me\n"
 
     @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_dangling_link_in_path_rejected_before_any_rollout(
+        self, tmp_path, capsys, no_runs, command, below
+    ):
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "gone")
+        out = link / below if below else link
+        assert main([*COMMANDS[command], "--seed", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: --out {out}: {link} is not a directory\n"
+        assert link.is_symlink() and os.readlink(link) == str(tmp_path / "gone")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link"]
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
     def test_unwritable_report_exits_2_naming_the_path(self, tmp_path, capsys, command):
         out = tmp_path / "out"
         report = out / f"{command}.{'json' if command == 'rollout' else 'csv'}"
@@ -412,6 +427,62 @@ class TestOutputPath:
         err = capsys.readouterr().err
         assert err.startswith("config error") and str(report) in err
         assert report.is_dir() and not any(report.iterdir())
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process and reuses it."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """The parsed arguments of every sweep and compare call, which do not
+        run."""
+        import relaxkv.cli as cli_mod
+
+        calls = []
+
+        def record(args):
+            calls.append(args)
+            return 0
+
+        for name in ("cmd_sweep", "cmd_compare"):
+            monkeypatch.setattr(cli_mod, name, record)
+        return calls
+
+    def test_list_options_do_not_leak_into_the_next_call(self, seen):
+        assert main(["sweep", "--seed", "1", "--set", "memory.n_sink=2",
+                     "--grid", "memory.n_tail=1,2"]) == 0
+        assert main(["sweep", "--seed", "1"]) == 0
+        assert main(["compare", "--seed", "1", "--set", "memory.n_sink=2",
+                     "--policies", "full,relaxed"]) == 0
+        assert main(["compare", "--seed", "1"]) == 0
+        assert [(args.set, args.grid) for args in seen[:2]] == [
+            (["memory.n_sink=2"], ["memory.n_tail=1,2"]), ([], []),
+        ]
+        assert [(args.set, args.policies) for args in seen[2:]] == [
+            (["memory.n_sink=2"], ["full,relaxed"]), ([], []),
+        ]
+
+    def test_runs_the_command_function_current_at_call_time(self, tmp_path, monkeypatch):
+        import relaxkv.cli as cli_mod
+
+        args = ["profile", "--seed", "1", "--out", str(tmp_path),
+                "--set", "rollout.total_frames=30"]
+        assert main(args) == 0
+        replaced = []
+        monkeypatch.setattr(cli_mod, "cmd_profile", lambda parsed: replaced.append(parsed) or 7)
+        assert main(args) == 7
+        assert [parsed.command for parsed in replaced] == ["profile"]
+
+    def test_not_built_at_import(self):
+        code = ("import relaxkv.cli as cli; "
+                "assert cli.build_parser.cache_info().currsize == 0; "
+                "cli.main(['profile', '--help'])")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: relaxkv profile")
 
 
 @st.composite

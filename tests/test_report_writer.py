@@ -14,12 +14,14 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import relaxkv.cli as cli
 from relaxkv import Policy, RolloutConfig
 from relaxkv.cli import main, profile_rows
+from relaxkv.errors import ContractViolationError
 
 from test_attention import TINY, rollout_configs
 
@@ -299,3 +301,52 @@ class TestProfileCsvBytes:
             assert main(["profile", "--out", out, *options]) == 0
             written_bytes = (Path(out) / "profile.csv").read_bytes()
         assert written_bytes == csv_writer_profile(cfg, settings_)
+
+
+# every digit count's first and last value, and the ends of int64
+EDGE_INTS = [0, 9, *(10**k + d for k in range(1, 20) for d in (-1, 0)), 2**63 - 1, 2**63,
+             10**40]
+
+
+@st.composite
+def int_columns(draw):
+    """1 to 9 columns of 0 to 40 non-negative ints, each an int64 array or an
+    object array of Python ints."""
+    rows = draw(st.integers(0, 40))
+    columns = []
+    for _ in range(draw(st.integers(1, 9))):
+        if draw(st.booleans()):
+            cells = st.integers(0, 2**63 - 1) | st.sampled_from([n for n in EDGE_INTS if n < 2**63])
+            dtype = np.int64
+        else:
+            cells = st.integers(0, 10**40) | st.sampled_from(EDGE_INTS)
+            dtype = object
+        columns.append(np.array(draw(st.lists(cells, min_size=rows, max_size=rows)), dtype))
+    return columns
+
+
+def csv_writer_body(columns) -> bytes:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(zip(*(col.tolist() for col in columns)))
+    return buf.getvalue().encode()
+
+
+class TestIntCsvBody:
+    @settings(max_examples=200, deadline=None)
+    @given(columns=int_columns())
+    def test_matches_csv_writer(self, columns):
+        assert cli._int_csv_body(columns) == csv_writer_body(columns)
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_empty_table_writes_nothing(self, dtype):
+        assert cli._int_csv_body([np.array([], dtype), np.array([], dtype)]) == b""
+
+    @pytest.mark.parametrize(
+        "column",
+        [np.array([3, -1], np.int64), np.array([3, -1], object),
+         np.array([2**63, -(10**40)], object)],
+        ids=["int64", "object", "object-beyond-int64"],
+    )
+    def test_negative_cell_raises(self, column):
+        with pytest.raises(ContractViolationError):
+            cli._int_csv_body([np.array([1, 2]), column])

@@ -56,3 +56,17 @@ def test_reports_match_seed_copy(tmp_path, command, variant):
         assert main([*argv, "--out", str(got)]) == 0
         assert seed_main([*argv, "--out", str(ref)]) == 0
         assert reference.compare_outputs(got, ref) == [], policy
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_long_profiles_match_seed_copy(tmp_path, fmt):
+    """3,000 frames, 1,000 steps: step passes 10 and 100 and generated_before
+    also 1,000, digit counts the 36- to 90-frame variants above never reach."""
+    seed_main = reference.seed_cli().main
+    for policy in POLICIES:
+        argv = ["profile", "--seed", "3", "--format", fmt,
+                "--set", f"memory.policy={policy}", "--set", "rollout.total_frames=3000"]
+        got, ref = tmp_path / f"{policy}-got", tmp_path / f"{policy}-ref"
+        assert main([*argv, "--out", str(got)]) == 0
+        assert seed_main([*argv, "--out", str(ref)]) == 0
+        assert reference.compare_outputs(got, ref) == [], policy

@@ -1,4 +1,4 @@
-"""Write the fixed set of 244 reports used to check byte identity between
+"""Write the fixed set of 260 reports used to check byte identity between
 two versions of relaxkv.
 
     PYTHONPATH=<tree>/src python tools/report_set.py OUT [--check REF]
@@ -9,8 +9,10 @@ OUT with the set in REF byte for byte and exits 1 listing every file that
 differs, is missing from OUT or is extra in OUT, and, on stderr, the first
 line on which each differing file differs; it exits 0 when the sets are the
 same. The set is 8 policies x 10 variants x {rollout json, profile json,
-profile csv}, plus an 8-policy x n_sink {0,2} sweep and an 8-policy compare,
-each in csv and json, all with seed 1. Every call goes through
+profile csv}, 8 policies x {profile csv, profile json} at 12,000 frames (the
+tables the `profile-long` benchmark workload times; no rollouts that long),
+plus an 8-policy x n_sink {0,2} sweep and an 8-policy compare, each in csv
+and json, all with seed 1. Every call goes through
 `relaxkv.cli.main` and must exit 0.
 """
 
@@ -53,6 +55,10 @@ VARIANTS = {
 }
 
 
+# variants written as profiles only: a rollout of 12,000 frames takes minutes
+PROFILE_VARIANTS = {"frames12000": ["rollout.total_frames=12000"]}
+
+
 def _sets(overrides: list[str]) -> list[str]:
     return [arg for item in overrides for arg in ("--set", item)]
 
@@ -60,11 +66,12 @@ def _sets(overrides: list[str]) -> list[str]:
 def calls(out: Path):
     """Every CLI argument list of the set; each (variant, policy) pair writes
     into its own directory, the sweep and the compare into theirs."""
-    for variant, overrides in VARIANTS.items():
+    for variant, overrides in {**VARIANTS, **PROFILE_VARIANTS}.items():
         for policy in POLICIES:
             d = str(out / variant / policy)
             common = ["--seed", "1", "--out", d, *_sets([f"memory.policy={policy}", *overrides])]
-            yield ["rollout", *common]
+            if variant in VARIANTS:
+                yield ["rollout", *common]
             for fmt in ("csv", "json"):
                 yield ["profile", *common, "--format", fmt]
     for fmt in ("csv", "json"):
