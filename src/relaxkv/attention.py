@@ -148,8 +148,14 @@ def attend_chunk(
 
 def step_costs(attended, chunk: int, frame_tokens: int, params: ModelParams):
     """Closed-form ``(attended_frames, key_tokens, score_ops)`` of steps that
-    attend ``attended`` frames, chunk included: an int, or an object array of
-    ints for many steps at once, so score ops stay exact (int64 would wrap)."""
+    attend ``attended`` frames, chunk included: an int, or an int64 array for
+    many steps at once. An array whose largest score op count would reach
+    ``2**63`` is computed as an object array of Python ints instead, so the
+    counts stay exact where int64 would wrap."""
+    if isinstance(attended, np.ndarray) and (
+        params.layers * params.heads * chunk * frame_tokens**2 * int(attended.max()) >= 2**63
+    ):
+        attended = attended.astype(object)
     key_tokens = attended * frame_tokens
     query_tokens = chunk * frame_tokens
     return attended, key_tokens, params.layers * params.heads * query_tokens * key_tokens

@@ -295,48 +295,43 @@ def _write_table(path: Path, fmt: str, settings: dict, header: list[str], rows: 
     path.write_text(buf.getvalue())
 
 
-def _exact(col: np.ndarray) -> np.ndarray:
-    """An int column as int64 where every cell fits, else as it is: an object
-    array of Python ints beyond 64 bits."""
-    if col.dtype == object:
-        try:
-            return col.astype(np.int64)
-        except OverflowError:
-            pass
-    return col
-
-
 def _int_csv_body(columns: list[np.ndarray]) -> bytes:
     """The rows ``zip(*columns)`` of non-negative ints in the bytes csv.writer
     writes: an int needs no quoting and is written as ``str(n)``, and every row
     ends in ``\\r\\n``.
 
-    All rows are laid out in one uint8 table of ASCII, a column of the table
-    per decimal place of each cell, as wide as the column's largest value,
-    then a ``,`` or the line end. The digit of place ``k`` is
-    ``col // 10**k % 10``, by a scalar divisor, which numpy divides by much
-    faster than by an array of powers; a leading zero is NUL, and one mask
-    drops every NUL."""
+    A column is int64, or an object array of Python ints such as score ops
+    beyond int64, and is narrowed to int32 where its largest value has at
+    most 9 digits. All rows are laid out column-major in one uint8 table of
+    ASCII: one contiguous row per decimal place of each column, as many as
+    its largest value has digits, then one row of ``,`` and two of the line
+    end. The places are taken from the units up, each by one division by the
+    scalar 10, which numpy divides by much faster than by an array of powers,
+    and the top place needs no modulo. A leading zero is NUL, and
+    ``bytes.translate`` drops every NUL of the row-major bytes."""
     rows = len(columns[0])
     if rows == 0:
         return b""
-    columns = list(map(_exact, columns))
     if any(col.min() < 0 for col in columns):
         raise ContractViolationError("a CSV cell written as digits is negative")
     widths = [len(str(col.max())) for col in columns]
-    table = np.empty((rows, sum(widths) + len(widths) + 1), np.uint8)
+    table = np.empty((sum(widths) + len(widths) + 1, rows), np.uint8)
     at = 0
     for col, width in zip(columns, widths):
-        for k in range(width - 1, -1, -1):
-            place = col // 10**k
-            table[:, at] = place % 10 + ord("0")
-            if k:
-                table[place == 0, at] = 0
-            at += 1
-        table[:, at] = ord(",")
+        place = col.astype(np.int32) if width <= 9 else col
+        for k in range(width - 1, -1, -1):  # from the units up
+            row = table[at + k]
+            higher = place // 10 if k else 0  # the top place is below 10
+            np.subtract(place, higher * 10, out=row, casting="unsafe")
+            row += ord("0")
+            if k < width - 1:  # a leading zero, never the units
+                row[place == 0] = 0
+            place = higher
+        at += width
+        table[at] = ord(",")
         at += 1
-    table[:, -2:] = np.frombuffer(b"\r\n", np.uint8)  # over the last ","
-    return table[table != 0].tobytes()
+    table[-2:] = np.frombuffer(b"\r\n", np.uint8)[:, None]  # over the last ","
+    return table.T.tobytes().translate(None, b"\0")
 
 
 def _write_int_csv(
@@ -461,13 +456,12 @@ PROFILE_HEADER = (
 def profile_columns(cfg: RolloutConfig) -> list[np.ndarray]:
     """Structural memory sizes and cost of every step, no generation: one
     column per ``PROFILE_HEADER`` name, computed for all steps at once from the
-    memory plan's columns. The costs are object arrays of Python ints, so score
-    ops stay exact where int64 would wrap."""
+    memory plan's columns. The costs are int64, or object arrays of Python
+    ints where score ops would pass int64 (see ``step_costs``)."""
     U = cfg.memory.chunk_size
     plan = memory_plan(cfg.memory, np.arange(0, cfg.total_frames, U))
     sizes = plan.sizes()
-    attended = sum(sizes) + U
-    costs = step_costs(attended.astype(object), U, cfg.model.frame_tokens, cfg.model)
+    costs = step_costs(sum(sizes) + U, U, cfg.model.frame_tokens, cfg.model)
     return [np.arange(len(plan.generated)), plan.generated, *sizes, *costs]
 
 

@@ -19,7 +19,7 @@ from relaxkv import (
     sample_pool,
     window_positions,
 )
-from relaxkv.cli import profile_rows
+from relaxkv.cli import profile_columns, profile_rows
 from relaxkv.rollout import eviction_schedule, memory_plan, structured_step_memory
 
 from test_attention import TINY, bounded_config, rollout_configs
@@ -146,6 +146,19 @@ class TestMemoryPlan:
         for policy in Policy:
             cfg = replace(long_config(policy), model=model)
             rows = profile_rows(cfg)[1]
+            assert rows == oracle_profile_rows(cfg)
+            assert all(type(value) is int for row in rows for value in row)
+        # one step's score ops are 2**62 and fit int64; a second step's are
+        # 2**63, and the cost columns become Python ints
+        model = ModelParams(layers=1, heads=1, frame_tokens=2**31)
+        for frames, dtype in [(1, np.int64), (2, object)]:
+            cfg = RolloutConfig(
+                memory=MemoryConfig(policy=Policy.FULL, chunk_size=1), model=model,
+                total_frames=frames, seed=3,
+            )
+            assert [col.dtype for col in profile_columns(cfg)[-3:]] == [dtype] * 3
+            rows = profile_rows(cfg)[1]
+            assert rows[-1][-1] == 2 ** (61 + frames)
             assert rows == oracle_profile_rows(cfg)
             assert all(type(value) is int for row in rows for value in row)
 

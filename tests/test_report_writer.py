@@ -303,9 +303,10 @@ class TestProfileCsvBytes:
         assert written_bytes == csv_writer_profile(cfg, settings_)
 
 
-# every digit count's first and last value, and the ends of int64
-EDGE_INTS = [0, 9, *(10**k + d for k in range(1, 20) for d in (-1, 0)), 2**63 - 1, 2**63,
-             10**40]
+# every digit count's first and last value, the ends of int32 and int64, and
+# 2**32, which int32 would write as 0
+EDGE_INTS = [0, 9, *(10**k + d for k in range(1, 20) for d in (-1, 0)), 2**31 - 1, 2**31,
+             2**32, 2**63 - 1, 2**63, 10**40]
 
 
 @st.composite
@@ -334,6 +335,12 @@ def csv_writer_body(columns) -> bytes:
 class TestIntCsvBody:
     @settings(max_examples=200, deadline=None)
     @given(columns=int_columns())
+    # a column per digit count up to 41: every edge value of at most that many
+    # digits, 0 for the others; int64 while all fit
+    @example(columns=[
+        np.array([n if n < 10**w else 0 for n in EDGE_INTS], np.int64 if w < 19 else object)
+        for w in range(1, 42)
+    ])
     def test_matches_csv_writer(self, columns):
         assert cli._int_csv_body(columns) == csv_writer_body(columns)
 

@@ -58,14 +58,27 @@ def test_reports_match_seed_copy(tmp_path, command, variant):
         assert reference.compare_outputs(got, ref) == [], policy
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_long_profiles_match_seed_copy(tmp_path, fmt):
+# test id prefix -> --set overrides; the 3,000-frame case keeps its bare ids
+LONG_PROFILES = {
+    "": ["rollout.total_frames=3000"],
+    "tokens2p31-": ["model.frame_tokens=2147483648", "rollout.total_frames=30"],
+}
+
+
+@pytest.mark.parametrize(
+    ("fmt", "sets"),
+    [(fmt, sets) for sets in LONG_PROFILES.values() for fmt in ("csv", "json")],
+    ids=[f"{name}{fmt}" for name in LONG_PROFILES for fmt in ("csv", "json")],
+)
+def test_long_profiles_match_seed_copy(tmp_path, fmt, sets):
     """3,000 frames, 1,000 steps: step passes 10 and 100 and generated_before
-    also 1,000, digit counts the 36- to 90-frame variants above never reach."""
+    also 1,000, digit counts the 36- to 90-frame variants above never reach.
+    2**31 tokens a frame: score ops pass int64 and are written as Python
+    ints."""
     seed_main = reference.seed_cli().main
     for policy in POLICIES:
-        argv = ["profile", "--seed", "3", "--format", fmt,
-                "--set", f"memory.policy={policy}", "--set", "rollout.total_frames=3000"]
+        argv = ["profile", "--seed", "3", "--format", fmt, "--set", f"memory.policy={policy}",
+                *(a for s in sets for a in ("--set", s))]
         got, ref = tmp_path / f"{policy}-got", tmp_path / f"{policy}-ref"
         assert main([*argv, "--out", str(got)]) == 0
         assert seed_main([*argv, "--out", str(ref)]) == 0

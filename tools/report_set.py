@@ -1,4 +1,4 @@
-"""Write the fixed set of 260 reports used to check byte identity between
+"""Write the fixed set of 276 reports used to check byte identity between
 two versions of relaxkv.
 
     PYTHONPATH=<tree>/src python tools/report_set.py OUT [--check REF]
@@ -10,8 +10,9 @@ differs, is missing from OUT or is extra in OUT, and, on stderr, the first
 line on which each differing file differs; it exits 0 when the sets are the
 same. The set is 8 policies x 10 variants x {rollout json, profile json,
 profile csv}, 8 policies x {profile csv, profile json} at 12,000 frames (the
-tables the `profile-long` benchmark workload times; no rollouts that long),
-plus an 8-policy x n_sink {0,2} sweep and an 8-policy compare, each in csv
+tables the `profile-long` benchmark workload times; no rollouts that long) and
+at 2**31 tokens a frame over 30 frames (score ops beyond int64), plus an
+8-policy x n_sink {0,2} sweep and an 8-policy compare, each in csv
 and json, all with seed 1. Every call goes through
 `relaxkv.cli.main` and must exit 0.
 """
@@ -55,8 +56,12 @@ VARIANTS = {
 }
 
 
-# variants written as profiles only: a rollout of 12,000 frames takes minutes
-PROFILE_VARIANTS = {"frames12000": ["rollout.total_frames=12000"]}
+# variants written as profiles only: a rollout of 12,000 frames takes minutes,
+# and one of 2**31 tokens a frame cannot hold its keys
+PROFILE_VARIANTS = {
+    "frames12000": ["rollout.total_frames=12000"],
+    "tokens2p31": ["model.frame_tokens=2147483648", "rollout.total_frames=30"],
+}
 
 
 def _sets(overrides: list[str]) -> list[str]:
