@@ -24,13 +24,7 @@ from .memory import (
     select_memory,
 )
 from .metrics import balance, clip_features, cost_ratio, drift, repetition
-from .rollout import (
-    RolloutTrace,
-    StepRecord,
-    audit_history_compliance,
-    run_rollout,
-    run_sweep,
-)
+from .rollout import RolloutTrace, StepRecord, audit_history_compliance, run_rollout
 from .rope import PositionPlan, apply_rotary, relaxed_positions, window_positions
 
 __all__ = [
@@ -65,7 +59,6 @@ __all__ = [
     "repetition",
     "restrict_candidates",
     "run_rollout",
-    "run_sweep",
     "sample_pool",
     "score_candidate",
     "select_history",

@@ -45,7 +45,7 @@ from .metrics import (
     steady_cost,
     trace_metrics,
 )
-from .rollout import RolloutTrace, memory_plan, run_rollout, run_sweep
+from .rollout import RolloutTrace, memory_plan, run_rollout
 
 SCHEMA_VERSION = 1
 
@@ -87,6 +87,18 @@ _SCHEMA["metrics"] = {"clip_frames": int}
 _DEFAULTS["metrics"] = {"clip_frames": DEFAULT_CLIP_FRAMES}
 
 
+def _assignment(item: str, usage: str) -> tuple[str, str, str]:
+    """(section, key, raw value) of a ``section.key=value`` item; ``usage``
+    opens the message for an item of another form."""
+    dotted, eq, raw = item.partition("=")
+    section, dot, key = dotted.partition(".")
+    if not (eq and dot):
+        raise ConfigError(f"{usage}, got {item!r}")
+    if section not in _SCHEMA:
+        raise ConfigError(f"unknown config section [{section}]")
+    return section, key, raw
+
+
 def _parse_value(section: str, key: str, raw: str):
     try:
         parser = _SCHEMA[section][key]
@@ -121,12 +133,7 @@ def load_settings(
             for key, raw in items:
                 settings[section][key] = _parse_value(section, key, raw)
     for item in overrides:
-        if "=" not in item or "." not in item.split("=", 1)[0]:
-            raise ConfigError(f"--set expects section.key=value, got {item!r}")
-        dotted, raw = item.split("=", 1)
-        section, key = dotted.split(".", 1)
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
+        section, key, raw = _assignment(item, "--set expects section.key=value")
         settings[section][key] = _parse_value(section, key, raw)
     if seed is not None:
         settings["rollout"]["seed"] = seed
@@ -148,14 +155,25 @@ def build_config(settings: dict) -> RolloutConfig:
     )
 
 
+def _point(settings: dict, values: dict) -> dict:
+    """A copy of ``settings`` with the value of each (section, key) in
+    ``values`` replaced."""
+    point = {sec: dict(vals) for sec, vals in settings.items()}
+    for (section, key), value in values.items():
+        point[section][key] = value
+    return point
+
+
+def _plain(value):
+    """A config value as a report writes it: a Policy by its name."""
+    return value.value if isinstance(value, Policy) else value
+
+
 def resolved_config_dict(settings: dict) -> dict:
-    out = {}
-    for section in sorted(settings):
-        out[section] = {
-            k: (v.value if isinstance(v, Policy) else v)
-            for k, v in sorted(settings[section].items())
-        }
-    return out
+    return {
+        section: {k: _plain(v) for k, v in sorted(settings[section].items())}
+        for section in sorted(settings)
+    }
 
 
 def canonical_baseline_cost(cfg: RolloutConfig):
@@ -182,6 +200,27 @@ def _scored_dict(s):
     }
 
 
+def run_summary(trace: RolloutTrace, clip_frames: int) -> dict:
+    """The summary of one run, the rollout report's ``metrics``: drift and
+    repetition over its clips (None with fewer than 2), the dense window's
+    steady cost over the run's, the run's steady attended frames and its score
+    ops over all steps."""
+    steady = steady_cost(trace)
+    return {
+        **trace_metrics(trace, clip_frames),
+        "cost_ratio": cost_ratio(canonical_baseline_cost(trace.config), steady),
+        "steady_attended_frames": steady.attended_frames,
+        "total_score_ops": sum(r.cost.score_ops for r in trace.records),
+    }
+
+
+# the columns of run_summary that the sweep and the compare tables write
+SWEEP_METRICS = (
+    "drift", "repetition", "steady_attended_frames", "total_score_ops", "cost_ratio",
+)
+COMPARE_METRICS = ("drift", "repetition", "steady_attended_frames", "cost_ratio")
+
+
 def trace_report(trace: RolloutTrace, settings: dict) -> dict:
     U = trace.config.memory.chunk_size
     steps = []
@@ -203,20 +242,11 @@ def trace_report(trace: RolloutTrace, settings: dict) -> dict:
                 "score_ops": rec.cost.score_ops,
             }
         )
-    metrics = trace_metrics(trace, settings["metrics"]["clip_frames"])
-    steady = steady_cost(trace)
-    baseline = canonical_baseline_cost(trace.config)
     return {
         "schema_version": SCHEMA_VERSION,
         "config": resolved_config_dict(settings),
         "steps": steps,
-        "metrics": {
-            "drift": metrics["drift"],
-            "repetition": metrics["repetition"],
-            "cost_ratio": cost_ratio(baseline, steady),
-            "steady_attended_frames": steady.attended_frames,
-            "total_score_ops": sum(r.cost.score_ops for r in trace.records),
-        },
+        "metrics": run_summary(trace, settings["metrics"]["clip_frames"]),
         "frame_features": trace.frame_features.tolist(),
     }
 
@@ -386,12 +416,9 @@ def cmd_rollout(args) -> int:
 def _parse_grid(items: list[str]) -> dict[tuple[str, str], list]:
     grid: dict[tuple[str, str], list] = {}
     for item in items:
-        if "=" not in item or "." not in item.split("=", 1)[0]:
-            raise ConfigError(f"--grid expects section.key=v1,v2,..., got {item!r}")
-        dotted, raw = item.split("=", 1)
-        section, key = dotted.split(".", 1)
+        section, key, raw = _assignment(item, "--grid expects section.key=v1,v2,...")
         if (section, key) in grid:
-            raise ConfigError(f"grid key {dotted} given more than once")
+            raise ConfigError(f"grid key {section}.{key} given more than once")
         grid[(section, key)] = [_parse_value(section, key, v) for v in raw.split(",")]
     return grid
 
@@ -402,49 +429,27 @@ def cmd_sweep(args) -> int:
     if not grid:
         raise ConfigError("sweep requires at least one --grid key")
     keys = sorted(grid)
-    configs = []
-    points = []
-    for combo in itertools.product(*(grid[k] for k in keys)):
-        point = {sec: dict(vals) for sec, vals in settings.items()}
-        for (section, key), value in zip(keys, combo):
-            point[section][key] = value
-        points.append(point)
-        configs.append(build_config(point))
+    points = [_point(settings, dict(zip(keys, combo)))
+              for combo in itertools.product(*(grid[k] for k in keys))]
+    configs = list(map(build_config, points))  # every point checked before a run
     out = _out_dir(args.out)
-    results = run_sweep(configs)
 
     rows = []
-    for point, res in zip(points, results):
-        row = {f"{sec}.{key}": _fmt_cell(point[sec][key]) for sec, key in keys}
+    for point, cfg in zip(points, configs):
+        row = {f"{sec}.{key}": _plain(point[sec][key]) for sec, key in keys}
         row["policy"] = point["memory"]["policy"].value
-        if res.trace is None:
-            row.update(
-                drift="", repetition="", steady_attended_frames="",
-                total_score_ops="", cost_ratio="", error=res.error,
-            )
-        else:
-            m = trace_metrics(res.trace, point["metrics"]["clip_frames"])
-            steady = steady_cost(res.trace)
-            row.update(
-                drift=m["drift"],
-                repetition=m["repetition"],
-                steady_attended_frames=steady.attended_frames,
-                total_score_ops=sum(r.cost.score_ops for r in res.trace.records),
-                cost_ratio=cost_ratio(canonical_baseline_cost(res.config), steady),
-                error="",
-            )
-        rows.append(row)
+        try:
+            trace = run_rollout(cfg)
+        except RelaxKVError as exc:  # a failed point is a row, not the sweep's end
+            rows.append({**row, **dict.fromkeys(SWEEP_METRICS, ""), "error": str(exc)})
+            continue
+        summary = run_summary(trace, point["metrics"]["clip_frames"])
+        rows.append({**row, **{m: summary[m] for m in SWEEP_METRICS}, "error": ""})
     _save(
         out, f"sweep.{args.format}", _write_table, args.format, settings,
         *_dict_rows(rows),
     )
     return 0
-
-
-def _fmt_cell(value):
-    if isinstance(value, Policy):
-        return value.value
-    return value
 
 
 PROFILE_HEADER = (
@@ -499,25 +504,14 @@ def cmd_compare(args) -> int:
 
     configs = []  # every policy parsed and built before the first rollout
     for name in policies:
-        point = {sec: dict(vals) for sec, vals in settings.items()}
-        point["memory"]["policy"] = _parse_value("memory", "policy", name)
-        configs.append(build_config(point))
+        policy = _parse_value("memory", "policy", name)
+        configs.append(build_config(_point(settings, {("memory", "policy"): policy})))
     out = _out_dir(args.out)
 
     per_policy = []
     for name, cfg in zip(policies, configs):
-        trace = run_rollout(cfg)
-        m = trace_metrics(trace, settings["metrics"]["clip_frames"])
-        steady = steady_cost(trace)
-        per_policy.append(
-            {
-                "policy": name,
-                "drift": m["drift"],
-                "repetition": m["repetition"],
-                "steady_attended_frames": steady.attended_frames,
-                "cost_ratio": cost_ratio(canonical_baseline_cost(cfg), steady),
-            }
-        )
+        summary = run_summary(run_rollout(cfg), settings["metrics"]["clip_frames"])
+        per_policy.append({"policy": name, **{m: summary[m] for m in COMPARE_METRICS}})
     balances = balance(
         [row["drift"] for row in per_policy],
         [row["repetition"] for row in per_policy],

@@ -82,11 +82,6 @@ class MemoryPlan:
     tail_start: np.ndarray
     origin: np.ndarray
 
-    @property
-    def scoring(self) -> MemoryConfig | None:
-        """The config a history is scored under, or None if it is not scored."""
-        return self.cfg if self.scored else None
-
     @functools.cached_property
     def pools(self) -> list[list[int]]:
         """Every step's pool, built on first use, once per plan."""
@@ -178,7 +173,7 @@ def structured_step_memory(
     ``generated_count`` frames and the config its history is scored under
     (``None`` if it is not scored)."""
     plan = memory_plan(cfg, [generated_count])
-    return plan.memory(0), plan.scoring
+    return plan.memory(0), plan.cfg if plan.scored else None
 
 
 def eviction_schedule(plan: MemoryPlan) -> list[list[int]]:
@@ -267,26 +262,6 @@ def run_rollout(cfg: RolloutConfig) -> RolloutTrace:
     return RolloutTrace(
         config=cfg, records=records, frame_features=features
     )
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    config: RolloutConfig
-    trace: RolloutTrace | None
-    error: str | None
-
-
-def run_sweep(grid: list[RolloutConfig]) -> list[SweepResult]:
-    """One trace per config; per-config failures are collected, not fatal."""
-    if not grid:
-        raise ConfigError("sweep grid is empty")
-    results = []
-    for cfg in grid:
-        try:
-            results.append(SweepResult(config=cfg, trace=run_rollout(cfg), error=None))
-        except RelaxKVError as exc:
-            results.append(SweepResult(config=cfg, trace=None, error=str(exc)))
-    return results
 
 
 def audit_history_compliance(trace: RolloutTrace) -> list[tuple[int, int]]:

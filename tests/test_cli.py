@@ -152,10 +152,10 @@ class TestRollout:
     def test_sweep_grid_point_rejected_at_config_time(self, tmp_path, monkeypatch):
         import relaxkv.cli as cli_mod
 
-        def no_run(configs):
+        def no_run(cfg):
             raise AssertionError("a rollout ran before every point was checked")
 
-        monkeypatch.setattr(cli_mod, "run_sweep", no_run)
+        monkeypatch.setattr(cli_mod, "run_rollout", no_run)
         out = tmp_path / "out"
         args = ["sweep", "--seed", "1", "--out", str(out),
                 "--grid", "metrics.clip_frames=15,0"]
@@ -214,6 +214,70 @@ class TestSweep:
         payload = json.loads((tmp_path / "sweep.json").read_text())
         assert payload["schema_version"] == 1
         assert len(payload["rows"]) == 2
+
+    def test_no_grid_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["sweep", "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: sweep requires at least one --grid key\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", ["--set", "--grid"])
+    def test_unknown_section_named_by_both_options(self, tmp_path, capsys, option):
+        out = tmp_path / "out"
+        args = ["sweep", "--seed", "1", "--out", str(out),
+                "--grid", "memory.n_sink=1,2", option, "nosuch.key=1"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "config error: unknown config section [nosuch]\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_point_is_a_row(self, tmp_path, monkeypatch, fmt):
+        """A rollout that fails makes its point's row hold the error and no
+        metrics; the other points run and the sweep exits 0."""
+        import relaxkv.cli as cli_mod
+
+        real = cli_mod.run_rollout
+
+        def flaky(cfg):
+            if cfg.memory.n_sink == 1:
+                raise ContractViolationError("injected failure")
+            return real(cfg)
+
+        monkeypatch.setattr(cli_mod, "run_rollout", flaky)
+        args = ["sweep", "--seed", "1", "--out", str(tmp_path), "--format", fmt,
+                "--set", "rollout.total_frames=30", "--grid", "memory.n_sink=0,1,2"]
+        assert main(args) == 0
+        if fmt == "csv":
+            rows = read_csv(tmp_path / "sweep.csv")
+        else:
+            rows = json.loads((tmp_path / "sweep.json").read_text())["rows"]
+        metrics = ["drift", "repetition", "steady_attended_frames", "total_score_ops",
+                   "cost_ratio"]
+        assert [list(r) for r in rows] == [["memory.n_sink", "policy", *metrics, "error"]] * 3
+        cell = str if fmt == "csv" else int
+        assert [r["memory.n_sink"] for r in rows] == [cell(0), cell(1), cell(2)]
+        assert all(r["policy"] == "relaxed" for r in rows)
+        failed = rows[1]
+        assert [failed[m] for m in metrics] == [""] * 5
+        assert failed["error"] == "injected failure"
+        for row in (rows[0], rows[2]):
+            assert row["error"] == ""
+            assert all(row[m] not in ("", None) for m in metrics)
+
+    def test_error_while_summarizing_is_fatal(self, tmp_path, monkeypatch, capsys):
+        """Only a failed rollout becomes an error row: an error raised while
+        summarizing a run that finished exits 3, writing no table."""
+        import relaxkv.cli as cli_mod
+
+        def failing(trace, clip_frames):
+            raise ContractViolationError("injected failure")
+
+        monkeypatch.setattr(cli_mod, "run_summary", failing)
+        args = ["sweep", "--seed", "1", "--out", str(tmp_path),
+                "--set", "rollout.total_frames=30", "--grid", "memory.n_sink=0,1"]
+        assert main(args) == 3
+        assert "injected failure" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestProfile:
@@ -386,7 +450,7 @@ class TestOutputPath:
             raise AssertionError("ran before --out was checked")
 
         # every computation a subcommand makes before writing, in every format
-        for name in ("run_rollout", "run_sweep", "profile_rows", "profile_columns"):
+        for name in ("run_rollout", "profile_rows", "profile_columns"):
             monkeypatch.setattr(cli_mod, name, no_run)
 
     @pytest.mark.parametrize("command", list(COMMANDS))

@@ -129,7 +129,7 @@ class TestMemoryPlan:
         for step, i in enumerate(range(0, cfg.total_frames, mcfg.chunk_size)):
             mem, scoring = oracle_step_memory(mcfg, i)
             assert plan.memory(step) == mem
-            assert plan.scoring == scoring
+            assert (plan.cfg if plan.scored else None) == scoring
             assert structured_step_memory(mcfg, i) == (mem, scoring)
             if scoring is not None:
                 assert plan.pools[step] == oracle_step_pool(scoring, i)[1]

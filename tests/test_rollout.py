@@ -11,7 +11,6 @@ from relaxkv import (
     audit_history_compliance,
     partition,
     run_rollout,
-    run_sweep,
 )
 from relaxkv.errors import ConfigError
 
@@ -152,34 +151,3 @@ class TestDenseWindowBaseline:
         trace = run_rollout(cfg_for(policy=Policy.DENSE_WINDOW))
         peak = max(rec.cost.attended_frames for rec in trace.records)
         assert peak == 21
-
-
-class TestRunSweep:
-    def test_grid_cardinality(self):
-        grid = [cfg_for(total_frames=30, n_sink=n) for n in range(4)]
-        results = run_sweep(grid)
-        assert len(results) == 4
-        assert all(r.error is None for r in results)
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ConfigError):
-            run_sweep([])
-
-    def test_errors_collected_not_fatal(self, monkeypatch):
-        import relaxkv.rollout as rollout_mod
-        from relaxkv.errors import ContractViolationError
-
-        real = rollout_mod.run_rollout
-
-        def flaky(cfg):
-            if cfg.seed == 13:
-                raise ContractViolationError("injected failure")
-            return real(cfg)
-
-        monkeypatch.setattr(rollout_mod, "run_rollout", flaky)
-        results = rollout_mod.run_sweep(
-            [cfg_for(total_frames=30, seed=1), cfg_for(total_frames=30, seed=13)]
-        )
-        assert results[0].error is None
-        assert results[1].trace is None
-        assert "injected failure" in results[1].error

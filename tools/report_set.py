@@ -1,4 +1,4 @@
-"""Write the fixed set of 276 reports used to check byte identity between
+"""Write the fixed set of 278 reports used to check byte identity between
 two versions of relaxkv.
 
     PYTHONPATH=<tree>/src python tools/report_set.py OUT [--check REF]
@@ -12,8 +12,9 @@ same. The set is 8 policies x 10 variants x {rollout json, profile json,
 profile csv}, 8 policies x {profile csv, profile json} at 12,000 frames (the
 tables the `profile-long` benchmark workload times; no rollouts that long) and
 at 2**31 tokens a frame over 30 frames (score ops beyond int64), plus an
-8-policy x n_sink {0,2} sweep and an 8-policy compare, each in csv
-and json, all with seed 1. Every call goes through
+8-policy x n_sink {0,2} sweep, an 8-policy compare and a {relaxed, full} x
+total_frames {15, 60} sweep (at 15 frames one clip, so drift and repetition
+are empty cells), each in csv and json, all with seed 1. Every call goes through
 `relaxkv.cli.main` and must exit 0.
 """
 
@@ -70,7 +71,7 @@ def _sets(overrides: list[str]) -> list[str]:
 
 def calls(out: Path):
     """Every CLI argument list of the set; each (variant, policy) pair writes
-    into its own directory, the sweep and the compare into theirs."""
+    into its own directory, each sweep and the compare into theirs."""
     for variant, overrides in {**VARIANTS, **PROFILE_VARIANTS}.items():
         for policy in POLICIES:
             d = str(out / variant / policy)
@@ -84,6 +85,8 @@ def calls(out: Path):
                "--grid", "memory.policy=" + ",".join(POLICIES), "--grid", "memory.n_sink=0,2"]
         yield ["compare", "--seed", "1", "--out", str(out / "compare"), "--format", fmt,
                "--policies", ",".join(POLICIES)]
+        yield ["sweep", "--seed", "1", "--out", str(out / "sweep_short"), "--format", fmt,
+               "--grid", "rollout.total_frames=15,60", "--grid", "memory.policy=relaxed,full"]
 
 
 def run(out: Path) -> int:
