@@ -3,6 +3,14 @@
 The stack stands in for a large video backbone at desk scale: all projection
 matrices are a pure function of the run seed, every chunk is generated in a
 single forward pass, and attention cost is counted exactly.
+
+Each step rotates the memory keys, and each layer's chunk queries and keys,
+by one complex multiply with the step's phases (``rope.rotate_by_phases``).
+The softmax is normalized after the value product: ``exp(logits - max) @ V``
+is divided by the row sums, one division per context entry instead of one
+per logit. Both attention products run in blocks of query rows small enough
+that OpenBLAS computes each on one thread (``_matmul``), so a report's bytes
+do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -17,7 +25,13 @@ from .memory import Frame, StructuredMemory, _cached
 from .memory import (  # noqa: F401  (perfbench/spans.py wraps them by name here)
     partition, restrict_candidates,
 )
-from .rope import rotate_tokens, rotation_tables
+from .rope import rotate_by_phases, rotation_phases
+from .rope import rotate_tokens  # noqa: F401  (perfbench/spans.py wraps it by name here)
+
+# OpenBLAS computes a gemm of m·n·k at most this on one thread (the
+# GEMM_MULTITHREAD_THRESHOLD rule of its interface/gemm.c), so a product made
+# of such gemms has the same bits at any thread count.
+_ONE_THREAD_GEMM = 262_144
 
 
 @dataclass(frozen=True)
@@ -94,22 +108,20 @@ def attend_chunk(
     mem_frames = _cached(cache.frames, mem.all_ids)
 
     H, hd = p.heads, p.head_dim
-    n_mem, n_new = len(mem_frames) * F, U * F
-    # rotation of every attended token, memory then chunk, for all layers
-    frame_pos = range(first_position, first_position + len(mem_frames) + U)
-    cos, sin = rotation_tables(frame_pos, F, H, p.rotary)
+    M = len(mem_frames)
+    n_mem, n_new = M * F, U * F
+    # phases of every attended frame, memory then chunk, for all layers
+    phases = rotation_phases(range(first_position, first_position + M + U), p.rotary)
     # Head-split, rotated keys and values of memory then chunk, for every
-    # layer: (layers, n_mem + n_new, H, hd). The memory part is gathered from
+    # layer: (layers, M + U, F, H, hd). The memory part is gathered from
     # the cache and rotated once per step, not once per layer.
-    keys = np.empty((p.layers, n_mem + n_new, H, hd))
+    keys = np.empty((p.layers, M + U, F, H, hd))
     values = np.empty_like(keys)
     if mem_frames:
         k_mem = np.stack([f.keys for f in mem_frames], axis=1)
         v_mem = np.stack([f.values for f in mem_frames], axis=1)
-        keys[:, :n_mem] = rotate_tokens(
-            k_mem.reshape(p.layers, n_mem, H, hd), cos[:n_mem], sin[:n_mem]
-        )
-        values[:, :n_mem] = v_mem.reshape(p.layers, n_mem, H, hd)
+        keys[:, :M] = rotate_by_phases(k_mem.reshape(p.layers, M, F, H, hd), phases[:M])
+        values[:, :M] = v_mem.reshape(p.layers, M, F, H, hd)
 
     scale = 1.0 / np.sqrt(hd)
     h = chunk_hidden.reshape(n_new, d)
@@ -122,28 +134,44 @@ def attend_chunk(
         v_new = h @ wv
         new_keys[layer] = k_new.reshape(U, F, d)
         new_values[layer] = v_new.reshape(U, F, d)
-        # queries and chunk keys share the chunk positions: one rotation
-        qk = np.stack([q, k_new]).reshape(2, n_new, H, hd)
-        q_h, k_h = rotate_tokens(qk, cos[n_mem:], sin[n_mem:])
-        keys[layer, n_mem:] = k_h
-        values[layer, n_mem:] = v_new.reshape(n_new, H, hd)
+        q_h = rotate_by_phases(q.reshape(U, F, H, hd), phases[M:]).reshape(n_new, H, hd)
+        keys[layer, M:] = rotate_by_phases(k_new.reshape(U, F, H, hd), phases[M:])
+        values[layer, M:] = v_new.reshape(U, F, H, hd)
 
         # (H, n_new, hd) @ (H, hd, K) -> (H, n_new, K)
         q_h = q_h * scale
-        logits = q_h.transpose(1, 0, 2) @ keys[layer].transpose(1, 2, 0)
+        k_h = keys[layer].reshape(n_mem + n_new, H, hd)
+        logits = _matmul(q_h.transpose(1, 0, 2), k_h.transpose(1, 2, 0))
         ops += logits.size
         logits -= logits.max(axis=2, keepdims=True)
         attn = np.exp(logits, out=logits)
-        attn /= attn.sum(axis=2, keepdims=True)
-        # (H, n_new, K) @ (H, K, hd) -> (H, n_new, hd)
-        ctx = attn @ values[layer].transpose(1, 0, 2)
+        # (H, n_new, K) @ (H, K, hd) -> (H, n_new, hd), then the softmax's
+        # normalization, one division per context entry
+        v_h = values[layer].reshape(n_mem + n_new, H, hd)
+        ctx = _matmul(attn, v_h.transpose(1, 0, 2))
+        ctx /= attn.sum(axis=2, keepdims=True)
         h = h + ctx.transpose(1, 0, 2).reshape(n_new, d) @ wo
 
-    attended = len(mem_frames) + U
+    attended = M + U
     report = CostReport(
         attended_frames=attended, key_tokens=attended * F, score_ops=ops
     )
     return h.reshape(U, F, d), new_keys, new_values, report
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for stacks of matrices (H, m, k) @ (H, k, n), computed in
+    blocks of a's rows whose gemms have m·n·k at most ``_ONE_THREAD_GEMM``,
+    so that OpenBLAS computes each on one thread. Where one row's k·n alone
+    exceeds it, a block is one row, and the bound does not hold."""
+    H, m, k = a.shape
+    rows = max(1, _ONE_THREAD_GEMM // (k * b.shape[2]))
+    if m <= rows:
+        return a @ b
+    out = np.empty((H, m, b.shape[2]))
+    for lo in range(0, m, rows):
+        np.matmul(a[:, lo : lo + rows], b, out=out[:, lo : lo + rows])
+    return out
 
 
 def step_costs(attended, chunk: int, frame_tokens: int, params: ModelParams):

@@ -25,7 +25,9 @@ _ZERO_NORM = 1e-12
 @dataclass(frozen=True)
 class Frame:
     """One generated frame: per-layer key/value blocks of shape (layers, F, d).
-    The rollout keeps its scoring mean key apart, as a row of ``mean_keys``."""
+    The rollout keeps its scoring mean key apart, as a row of ``mean_keys``,
+    and checks that a chunk's keys and values are finite before it makes
+    their frames."""
 
     id: int
     keys: np.ndarray
@@ -40,8 +42,6 @@ class Frame:
             )
         if self.keys.shape[1] < 1:
             raise ContractViolationError("frame must contain at least one token")
-        if not (np.isfinite(self.keys).all() and np.isfinite(self.values).all()):
-            raise ContractViolationError("frame contains non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -208,15 +208,20 @@ def _cached(frames: dict[int, Frame], ids) -> list[Frame]:
 
 def select_memory(
     frames: dict[int, Frame], means: np.ndarray, generated_count: int,
-    cfg: MemoryConfig, pool: list[int],
+    cfg: MemoryConfig, pool: list[int], sink_prototypes: dict[int, np.ndarray | None],
 ) -> tuple[StructuredMemory, list[ScoredCandidate]]:
     """Full selection for one step over its ``pool``, the ``sample_pool`` of
     its restricted candidates: prototype, score, top-k, assemble with the
     step's sink and tail. A pool frame's prototype, and a one-frame tail's,
     is its normalized row of ``means``, every generated frame's ``mean_keys``
     under ``cfg.scoring_layer``; the sink and a longer tail are
-    ``group_prototype``s. An evicted frame's row still holds a value, so every
-    sink, tail and pool frame is checked to be cached."""
+    ``group_prototype``s. A sink's frames never change once cached, so its
+    prototype is computed once per sink size and kept in ``sink_prototypes``,
+    which the caller holds for the run. An evicted frame's row still holds a
+    value, so every sink, tail and pool frame is checked to be cached.
+
+    Each candidate is scored as ``score_candidate`` scores it, bit for bit:
+    the dot products are taken for the whole pool at once."""
     sink_stop, tail_start = region_bounds(generated_count, cfg)
     sink, tail = list(range(sink_stop)), list(range(tail_start, generated_count))
     if not pool or cfg.n_history == 0:
@@ -228,14 +233,20 @@ def select_memory(
     _cached(frames, pool)
     one_tail = len(tail) == 1
     protos = _normalize(means[pool + tail if one_tail else pool])
-    proto_sink = group_prototype(sink_frames, layer) if sink_frames else None
+    if sink_stop not in sink_prototypes:
+        sink_prototypes[sink_stop] = group_prototype(sink_frames, layer) if sink_frames else None
+    proto_sink = sink_prototypes[sink_stop]
     if one_tail:
         proto_tail = protos[-1]
     else:
         proto_tail = group_prototype(tail_frames, layer) if tail_frames else None
 
+    candidates = protos[: len(pool)]
+    zeros = [0.0] * len(pool)
+    stability = np.vecdot(candidates, proto_sink).tolist() if proto_sink is not None else zeros
+    redundancy = np.vecdot(candidates, proto_tail).tolist() if proto_tail is not None else zeros
     scored = [
-        score_candidate(fid, proto, proto_sink, proto_tail, cfg.lam)
-        for fid, proto in zip(pool, protos)
+        ScoredCandidate(fid, s, r, s - cfg.lam * r)
+        for fid, s, r in zip(pool, stability, redundancy)
     ]
     return StructuredMemory(sink, select_history(scored, cfg.n_history), tail), scored

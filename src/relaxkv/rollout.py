@@ -15,7 +15,7 @@ from .attention import (
     attend_chunk,
 )
 from .config import MemoryConfig, Policy, RolloutConfig
-from .errors import ConfigError, RelaxKVError
+from .errors import ConfigError, ContractViolationError, RelaxKVError
 from .memory import (
     Frame,
     ScoredCandidate,
@@ -221,6 +221,7 @@ def run_rollout(cfg: RolloutConfig) -> RolloutTrace:
     features = np.empty((cfg.total_frames, cfg.model.d))
     # every frame's scoring mean key, the rows select_memory reads
     means = np.empty((cfg.total_frames, cfg.model.d)) if plan.scored else None
+    sink_prototypes = {}  # sink size -> its prototype, as select_memory keeps it
 
     steps = zip(plan.generated.tolist(), plan.first_positions().tolist())
     step = 0
@@ -231,11 +232,15 @@ def run_rollout(cfg: RolloutConfig) -> RolloutTrace:
             scored = []
             if plan.scored:
                 pool = plan.pools[step]
-                chosen, scored = select_memory(cache.frames, means, i, plan.cfg, pool)
+                chosen, scored = select_memory(
+                    cache.frames, means, i, plan.cfg, pool, sink_prototypes
+                )
                 mem = replace(mem, history_ids=chosen.history_ids)
 
             hidden = stack.embed_chunk(chunk_ids)
             out, new_keys, new_values, cost = attend_chunk(hidden, mem, first, cache, stack)
+            if not (np.isfinite(new_keys).all() and np.isfinite(new_values).all()):
+                raise ContractViolationError("chunk keys or values contain non-finite entries")
             new_frames = [
                 Frame(id=fid, keys=new_keys[:, j], values=new_values[:, j])
                 for j, fid in enumerate(chunk_ids)

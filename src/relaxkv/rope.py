@@ -5,6 +5,14 @@ sliding-window reset baseline) plus the rotary rotation itself. A rollout
 takes its positions from the memory plan's ``first_positions`` instead; the
 builders state the two schemes frame by frame and are the reference oracles
 for those positions.
+
+The rotation turns each channel pair (2j, 2j+1) by its angle. A rollout
+rotates by one complex multiply: the pair is read as the complex number
+``v[2j] + i·v[2j+1]`` and multiplied by the phase ``cos + i·sin`` of its
+angle, one phase row per frame position (``rotation_phases``,
+``rotate_by_phases``). ``rotation_tables`` and ``rotate_tokens`` compute the
+same rotation from real per-token tables, bit for bit as the pair formulas;
+they are the reference the complex form is checked against, to a few ulps.
 """
 
 from __future__ import annotations
@@ -91,14 +99,20 @@ def apply_rotary(vec: np.ndarray, position: int, params: RotaryParams) -> np.nda
     return rotate_tokens(vec[None, None, :], cos, sin)[0, 0]
 
 
+def _angles(positions, params: RotaryParams) -> np.ndarray:
+    """position * base^(-2j/dim): one row per position, one column per pair."""
+    half = params.dim // 2
+    inv_freq = params.base_theta ** (-2.0 * np.arange(half) / params.dim)
+    return np.asarray(positions, dtype=np.float64)[:, None] * inv_freq
+
+
 def rotation_tables(
     positions: list[int], repeats: int, heads: int, params: RotaryParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """cos and sin of position * base^(-2j/dim), computed once per position and
     repeated into contiguous (len(positions) * repeats, heads, dim // 2) tables."""
     half = params.dim // 2
-    inv_freq = params.base_theta ** (-2.0 * np.arange(half) / params.dim)
-    theta = np.asarray(positions, dtype=np.float64)[:, None] * inv_freq
+    theta = _angles(positions, params)
     shape = (len(theta), repeats, heads, half)
     return tuple(
         np.broadcast_to(t[:, None, None, :], shape).copy().reshape(-1, heads, half)
@@ -115,3 +129,22 @@ def rotate_tokens(vecs: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndar
     out[..., 0::2] = even * cos - odd * sin
     out[..., 1::2] = even * sin + odd * cos
     return out
+
+
+def rotation_phases(positions, params: RotaryParams) -> np.ndarray:
+    """``cos + i·sin`` of the angles of ``rotation_tables``, one row per
+    position, shaped (len(positions), 1, 1, dim // 2) to broadcast over a
+    frame's tokens and heads."""
+    theta = _angles(positions, params)
+    phases = np.empty(theta.shape, dtype=np.complex128)
+    phases.real = np.cos(theta)
+    phases.imag = np.sin(theta)
+    return phases[:, None, None, :]
+
+
+def rotate_by_phases(vecs: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Rotary rotation of the C-contiguous float64 vecs (..., frames, tokens,
+    heads, dim) by ``rotation_phases`` of the frames' positions: one complex
+    multiply per channel pair. It equals ``rotate_tokens`` to within a few
+    ulps of the pair's magnitude, and at position 0 it is the identity."""
+    return (vecs.view(np.complex128) * phases).view(np.float64)

@@ -503,15 +503,18 @@ class TestScoredEqualsRecomputedProperty:
     @example(cfg=scored_config(2, 2, True, None), policy=Policy.HISTORY_ONLY, layer=None)
     def test_scores_equal_recomputed_prototypes(self, cfg, policy, layer):
         """Every scored step's record holds, bit for bit, its pool's scores
-        recomputed with frame_prototype and group_prototype from the frames
-        cached when it selected."""
+        recomputed with frame_prototype, group_prototype and score_candidate
+        from the frames cached when it selected: the sink prototype kept
+        across steps is the one recomputed every step."""
         mem = replace(cfg.memory, policy=policy, fixed_history_position=None,
                       scoring_layer=layer)
         cfg = replace(cfg, memory=mem)
         expected = {}  # generated count -> recomputed scores
 
-        def selecting(frames, means, generated_count, scfg, pool):
-            result = memory_module.select_memory(frames, means, generated_count, scfg, pool)
+        def selecting(frames, means, generated_count, scfg, pool, sink_prototypes):
+            result = memory_module.select_memory(
+                frames, means, generated_count, scfg, pool, sink_prototypes
+            )
             p = partition(generated_count, scfg)
             sink = [frames[f] for f in p.sink_ids]
             tail = [frames[f] for f in p.tail_ids]

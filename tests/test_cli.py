@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from relaxkv.cli import main
 from relaxkv.config import Policy
 from relaxkv.errors import ContractViolationError
+from relaxkv.rollout import run_rollout
 
 
 def read_csv(path):
@@ -581,38 +583,58 @@ def config_settings(draw):
 @given(config_settings())
 def test_every_config_writes_its_report_or_is_rejected_at_config_time(sets):
     """A valid config runs to a written report; an invalid one exits 2 with a
-    config error before any step runs, leaving no output directory."""
+    config error before any rollout starts, leaving no output directory."""
+    import relaxkv.cli as cli_mod
+
+    rollouts = []
+
+    def counted(cfg):
+        rollouts.append(cfg)
+        return run_rollout(cfg)
+
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         args = ["rollout", "--seed", "1", "--out", str(out),
                 *(a for s in sets for a in ("--set", s))]
         err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                mock.patch.object(cli_mod, "run_rollout", counted):
             code = main(args)
         if code == 0:
+            assert len(rollouts) == 1
             assert json.loads((out / "rollout.json").read_text())["steps"]
         else:
             assert code == 2, err.getvalue()
             assert err.getvalue().startswith("config error")
+            assert rollouts == []
             assert not out.exists()
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs")
 def test_rollout_bytes_do_not_depend_on_blas_threads(tmp_path):
-    """A relaxed report is byte-identical under 1 and 2 BLAS threads. Reports
-    are byte-identical only at a fixed thread count in general: a ``full``
-    rollout of 150 frames (``--seed 3``) writes different ``frame_features``
-    under the two."""
+    """A report is byte-identical under 1 and 2 OpenBLAS threads, also where
+    the attention products are large enough that OpenBLAS would split one
+    over threads: ``full`` rollouts attend up to 4,800 key tokens, and
+    ``dense_window`` at ``window_size=60`` up to 960."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    reports = []
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        subprocess.run(
-            [sys.executable, "-m", "relaxkv", "rollout", "--seed", "3", "--out", str(out),
-             "--set", "rollout.total_frames=150"],
-            env=env, check=True,
-        )
-        reports.append((out / "rollout.json").read_bytes())
-    assert reports[0] == reports[1]
+    cases = {
+        "relaxed-150": ["rollout.total_frames=150"],
+        "full-150": ["rollout.total_frames=150", "memory.policy=full"],
+        "full-300": ["rollout.total_frames=300", "memory.policy=full"],
+        "dense_window60-300": [
+            "rollout.total_frames=300", "memory.policy=dense_window", "memory.window_size=60",
+        ],
+    }
+    for name, sets in cases.items():
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / name / threads
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            subprocess.run(
+                [sys.executable, "-m", "relaxkv", "rollout", "--seed", "3", "--out", str(out),
+                 *(a for s in sets for a in ("--set", s))],
+                env=env, check=True,
+            )
+            reports.append((out / "rollout.json").read_bytes())
+        assert reports[0] == reports[1], name

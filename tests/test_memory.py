@@ -283,7 +283,7 @@ class TestSelectMemoryAssembly:
             fid: make_frame(fid, [to_sink if fid in (0, 1, 7) else to_tail])
             for fid in range(10)
         }
-        mem, scored = select_memory(frames, mean_rows(frames), 10, DEFAULTS, [6, 7, 8])
+        mem, scored = select_memory(frames, mean_rows(frames), 10, DEFAULTS, [6, 7, 8], {})
         assert mem.sink_ids == [0, 1]
         assert mem.history_ids == [7]
         assert mem.tail_ids == [9]
@@ -291,7 +291,7 @@ class TestSelectMemoryAssembly:
         assert [s.frame_id for s in scored] == [6, 7, 8]
 
     def test_history_free(self):
-        mem, scored = select_memory({}, np.empty((0, 4)), 10, DEFAULTS, [])
+        mem, scored = select_memory({}, np.empty((0, 4)), 10, DEFAULTS, [], {})
         assert mem.all_ids == [0, 1, 9]
         assert scored == []
 
@@ -314,7 +314,7 @@ def test_select_memory_names_a_scored_frame_missing_from_cache(rng):
     means = mean_rows(frames)
     del frames[20]
     with pytest.raises(CacheMissError, match="frame 20 missing from cache"):
-        select_memory(frames, means, 30, DEFAULTS, [16, 20, 24, 28])
+        select_memory(frames, means, 30, DEFAULTS, [16, 20, 24, 28], {})
 
 
 @pytest.mark.parametrize("zero, raises", [(4, False), (7, True)])
@@ -328,9 +328,9 @@ def test_zero_mean_frame_raises_only_in_the_pool(rng, zero, raises):
     }
     if raises:
         with pytest.raises(DegeneratePrototypeError):
-            select_memory(frames, mean_rows(frames), 10, DEFAULTS, [6, 7, 8])
+            select_memory(frames, mean_rows(frames), 10, DEFAULTS, [6, 7, 8], {})
     else:
-        _, scored = select_memory(frames, mean_rows(frames), 10, DEFAULTS, [6, 7, 8])
+        _, scored = select_memory(frames, mean_rows(frames), 10, DEFAULTS, [6, 7, 8], {})
         assert [s.frame_id for s in scored] == [6, 7, 8]
 
 

@@ -1,5 +1,6 @@
 """`tools/report_set.py --check REF` compares a written set with a reference
-set byte for byte."""
+set byte for byte, and gives each differing rollout directory the benchmark's
+tolerance verdict."""
 
 import importlib.util
 from pathlib import Path
@@ -70,3 +71,37 @@ def test_shows_the_first_differing_line_of_each_differing_file(tmp_path, capsys,
         "default/relaxed/profile.csv line 2: ref b'0\\r\\n', out b'1\\r\\n'",
         "default/relaxed/rollout.json line 1: ref b'{}\\n', out b'{" + "x" * 59 + "'...",
     ]
+
+
+ROLLOUT = (
+    b'{\n  "steps": [{"history_ids": [7], "scored": [{"relaxation": 0.1234567890123456}]}],\n'
+    b'  "frame_features": [[0.5, -1.25]]\n}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "changed, verdict",
+    [
+        (ROLLOUT.replace(b"0.1234567890123456", b"0.1234567890123457"),
+         "default/relaxed/ tolerance check: within tolerance"),
+        (ROLLOUT.replace(b"[7]", b"[8]"),
+         "default/relaxed/ tolerance check: rollout.json.steps[0].history_ids[0]: 8 != 7"),
+    ],
+    ids=["last-digit", "history-id"],
+)
+def test_differing_rollout_directory_gets_a_tolerance_verdict(
+    tmp_path, capsys, report_set, changed, verdict
+):
+    ref = write_set(tmp_path / "ref", {**FILES, "default/relaxed/rollout.json": ROLLOUT})
+    out = write_set(tmp_path / "out", {**FILES, "default/relaxed/rollout.json": changed})
+    assert report_set.check(out, ref) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["differs default/relaxed/rollout.json"]
+    assert verdict in captured.err.splitlines()
+
+
+def test_directory_without_a_rollout_gets_no_verdict(tmp_path, capsys, report_set):
+    ref = write_set(tmp_path / "ref", FILES)
+    out = write_set(tmp_path / "out", {**FILES, "sweep/sweep.json": b"[1]\n"})
+    assert report_set.check(out, ref) == 1
+    assert "tolerance check" not in capsys.readouterr().err

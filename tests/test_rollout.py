@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from relaxkv import (
     partition,
     run_rollout,
 )
-from relaxkv.errors import ConfigError
+import relaxkv.rollout as rollout_module
+from relaxkv.attention import attend_chunk
+from relaxkv.errors import ConfigError, ContractViolationError
 
 
 def cfg_for(policy=Policy.RELAXED, total_frames=60, seed=7, **mem_kwargs):
@@ -72,6 +75,23 @@ class TestRunRollout:
         for policy in Policy:
             trace = run_rollout(cfg_for(policy=policy, total_frames=30))
             assert np.isfinite(trace.frame_features).all()
+
+    @pytest.mark.parametrize("part, value", [(1, np.nan), (2, np.inf)], ids=["keys", "values"])
+    def test_non_finite_chunk_is_a_contract_violation(self, part, value):
+        """The chunk's keys and values are checked once per chunk, before
+        they are cached; the error names the step."""
+        calls = []
+
+        def corrupting(*args):
+            result = attend_chunk(*args)
+            calls.append(args)
+            if len(calls) == 2:
+                result[part][-1, -1, 0, 0] = value
+            return result
+
+        with mock.patch.object(rollout_module, "attend_chunk", corrupting), \
+                pytest.raises(ContractViolationError, match="step 1 .*non-finite"):
+            run_rollout(cfg_for(total_frames=30))
 
     def test_score_identity_in_traces(self):
         trace = run_rollout(cfg_for())

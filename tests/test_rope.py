@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from relaxkv import (
     RotaryParams,
@@ -14,7 +14,7 @@ from relaxkv.errors import (
     InvalidStepError,
     WindowOverflowError,
 )
-from relaxkv.rope import rotate_tokens, rotation_tables
+from relaxkv.rope import rotate_by_phases, rotate_tokens, rotation_phases, rotation_tables
 
 
 class TestRelaxedPositions:
@@ -185,3 +185,42 @@ class TestRotationTables:
             v = rng.normal(size=16)
             expected = per_token_rotation(v[None, None, :], [position], 1, params)
             assert np.array_equal(apply_rotary(v, position, params), expected[0, 0])
+
+
+class TestPhaseRotation:
+    """The complex multiply against the real-table rotation it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        positions=st.lists(st.integers(0, 100_000), min_size=1, max_size=5),
+        tokens=st.integers(1, 5),
+        heads=st.integers(1, 5),
+        half=st.integers(1, 8),
+        base=st.sampled_from([1.0001, 1.5, 1e4, 1e12]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(positions=[0, 1, 100_000], tokens=2, heads=3, half=8, base=1e4, seed=0)
+    def test_agrees_with_rotate_tokens(self, positions, tokens, heads, half, base, seed):
+        """Each output pair is within 4 eps of the input pair's |a| + |b| of
+        ``rotate_tokens``' bits, and position 0 is the identity, bit for bit."""
+        params = RotaryParams(base_theta=base, dim=2 * half)
+        frames = len(positions)
+        vecs = np.random.default_rng(seed).normal(size=(frames, tokens, heads, 2 * half))
+        got = rotate_by_phases(vecs, rotation_phases(positions, params))
+        cos, sin = rotation_tables(positions, tokens, heads, params)
+        ref = rotate_tokens(vecs.reshape(-1, heads, 2 * half), cos, sin).reshape(vecs.shape)
+        assert got.shape == vecs.shape and got.dtype == np.float64
+
+        pair = np.abs(vecs[..., 0::2]) + np.abs(vecs[..., 1::2])
+        bound = np.repeat(4 * np.finfo(np.float64).eps * pair, 2, axis=-1)
+        assert (np.abs(got - ref) <= bound).all()
+        at_zero = np.asarray(positions) == 0
+        assert np.array_equal(got[at_zero], vecs[at_zero])
+
+    def test_phases_are_the_table_angles(self):
+        params = RotaryParams(base_theta=10000.0, dim=8)
+        phases = rotation_phases([0, 3, 99_999], params)
+        cos, sin = rotation_tables([0, 3, 99_999], 1, 1, params)
+        assert phases.shape == (3, 1, 1, 4)
+        assert np.array_equal(phases.real.reshape(3, 4), cos.reshape(3, 4))
+        assert np.array_equal(phases.imag.reshape(3, 4), sin.reshape(3, 4))

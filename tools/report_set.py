@@ -4,11 +4,16 @@ two versions of relaxkv.
     PYTHONPATH=<tree>/src python tools/report_set.py OUT [--check REF]
 
 Run it once per tree (for example a `git worktree` of the parent commit and
-the working tree) into two directories. With `--check REF`, it then compares
-OUT with the set in REF byte for byte and exits 1 listing every file that
-differs, is missing from OUT or is extra in OUT, and, on stderr, the first
-line on which each differing file differs; it exits 0 when the sets are the
-same. The set is 8 policies x 10 variants x {rollout json, profile json,
+the working tree) into two directories. With `--check REF`, it first writes
+the set into OUT with the `relaxkv` found on `PYTHONPATH`, as without it,
+then compares OUT with the set in REF byte for byte and exits 1 listing every
+file that differs, is missing from OUT or is extra in OUT, and, on stderr,
+the first line on which each differing file differs; it exits 0 when the sets
+are the same. For each differing directory that holds a `rollout.json`, it
+also prints on stderr the verdict of the benchmark's output check
+(`perfbench/reference.py`'s `compare_outputs`) on that directory: ids,
+roles, positions and costs exactly, scores, metrics and frame features
+within 1e-9 + 1e-6 * |ref|. The set is 8 policies x 10 variants x {rollout json, profile json,
 profile csv}, 8 policies x {profile csv, profile json} at 12,000 frames (the
 tables the `profile-long` benchmark workload times; no rollouts that long) and
 at 2**31 tokens a frame over 30 frames (score ops beyond int64), plus an
@@ -23,13 +28,18 @@ import itertools
 import os
 import sys
 
-# `full` rollouts write different bytes under different BLAS thread counts;
-# the setting only takes effect before numpy is imported.
+# Attention runs its products as gemms OpenBLAS keeps on one thread, but not
+# where one query row alone is past that size, and other BLAS libraries split
+# by their own rules; one thread keeps the set's bytes fixed. The setting only
+# takes effect before numpy is imported.
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from pathlib import Path  # noqa: E402
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
 import relaxkv  # noqa: E402
+from reference import compare_outputs  # noqa: E402
 from relaxkv.cli import main  # noqa: E402
 from relaxkv.config import Policy  # noqa: E402
 
@@ -132,6 +142,9 @@ def check(out: Path, ref: Path) -> int:
     for f in differing:
         print(f"{f} {first_difference((ref / f).read_bytes(), (out / f).read_bytes())}",
               file=sys.stderr)
+    for d in sorted({f.parent for f in differing if (ref / f.parent / "rollout.json").is_file()}):
+        verdict = "; ".join(compare_outputs(out / d, ref / d)) or "within tolerance"
+        print(f"{d}/ tolerance check: {verdict}", file=sys.stderr)
     if problems:
         print(f"{len(problems)} of {len(written | expected)} files do not match {ref}",
               file=sys.stderr)
