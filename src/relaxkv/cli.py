@@ -3,7 +3,7 @@
 Config files are INI-style with one section per module; every key can be
 overridden on the command line with --set section.key=value. Reports embed
 the fully resolved config and a schema version, and are byte-identical for
-identical (config, seed) at a fixed BLAS thread count. A JSON report holds
+identical (config, seed), at any OpenBLAS thread count. A JSON report holds
 exactly the bytes of ``json.dumps(report, indent=2)``, written by one orjson
 call that is read back to check it, or by json where orjson would differ. A
 CSV table holds exactly the bytes of ``csv.writer``; the profile table, all

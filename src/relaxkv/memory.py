@@ -161,11 +161,14 @@ def frame_prototype(frame: Frame, scoring_layer: int | None = None) -> np.ndarra
 
 
 def group_prototype(frames: list[Frame], scoring_layer: int | None = None) -> np.ndarray:
-    """Unit-norm mean key over all tokens of all frames in the group."""
+    """Unit-norm mean of the group's frame mean keys. Every frame weighs the
+    same, which is the mean over all their tokens when the frames hold equal
+    token counts. The reference for selection's prototypes, which average the
+    same rows of ``mean_keys``, bit for bit."""
     if not frames:
         raise EmptyGroupError("cannot build a prototype from an empty group")
-    pooled = np.concatenate([_pooled_keys(f, scoring_layer) for f in frames], axis=0)
-    return _normalize(pooled.mean(axis=0))
+    rows = np.stack([_pooled_keys(f, scoring_layer).mean(axis=0) for f in frames])
+    return _normalize(rows.mean(axis=0))
 
 
 def score_candidate(
@@ -212,13 +215,15 @@ def select_memory(
 ) -> tuple[StructuredMemory, list[ScoredCandidate]]:
     """Full selection for one step over its ``pool``, the ``sample_pool`` of
     its restricted candidates: prototype, score, top-k, assemble with the
-    step's sink and tail. A pool frame's prototype, and a one-frame tail's,
-    is its normalized row of ``means``, every generated frame's ``mean_keys``
-    under ``cfg.scoring_layer``; the sink and a longer tail are
-    ``group_prototype``s. A sink's frames never change once cached, so its
-    prototype is computed once per sink size and kept in ``sink_prototypes``,
-    which the caller holds for the run. An evicted frame's row still holds a
-    value, so every sink, tail and pool frame is checked to be cached.
+    step's sink and tail. Every prototype is a normalized mean of rows of
+    ``means``, every generated frame's ``mean_keys`` under
+    ``cfg.scoring_layer``: a pool frame's is its own row, the sink's and the
+    tail's the mean of theirs, as ``group_prototype`` computes them. A sink's
+    rows never change once written, so its prototype is computed once per
+    sink size and kept in ``sink_prototypes``, which the caller holds for the
+    run. Selection reads no cached keys, but its chosen frames are attended
+    next and an evicted frame's row still holds a value, so the pool is
+    checked to be cached.
 
     Each candidate is scored as ``score_candidate`` scores it, bit for bit:
     the dot products are taken for the whole pool at once."""
@@ -227,19 +232,16 @@ def select_memory(
     if not pool or cfg.n_history == 0:
         return StructuredMemory(sink, [], tail), []
 
-    layer = cfg.scoring_layer
-    sink_frames = _cached(frames, sink)
-    tail_frames = _cached(frames, tail)
     _cached(frames, pool)
     one_tail = len(tail) == 1
     protos = _normalize(means[pool + tail if one_tail else pool])
     if sink_stop not in sink_prototypes:
-        sink_prototypes[sink_stop] = group_prototype(sink_frames, layer) if sink_frames else None
+        sink_prototypes[sink_stop] = _normalize(means[sink].mean(axis=0)) if sink else None
     proto_sink = sink_prototypes[sink_stop]
     if one_tail:
         proto_tail = protos[-1]
     else:
-        proto_tail = group_prototype(tail_frames, layer) if tail_frames else None
+        proto_tail = _normalize(means[tail].mean(axis=0)) if tail else None
 
     candidates = protos[: len(pool)]
     zeros = [0.0] * len(pool)

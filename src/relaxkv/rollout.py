@@ -180,30 +180,25 @@ def eviction_schedule(plan: MemoryPlan) -> list[list[int]]:
     """Ids of the frames each step reads for the last time, step by step, for
     the plan of a whole run (frames generated 0, U, 2U, ...).
 
-    Records the last step that reads each frame: the step's memory and, when
-    its history is scored, the sink, pool and tail whose keys select_memory
-    reads. Without ``bounded_cache`` a scored step also keeps every frame
+    Records the last step that reads each frame: the step attends its sink
+    and tail and, when ``cfg.n_history > 0``, may attend any frame of its
+    pool. Selection reads no other cached frame, as it scores from the mean
+    keys. Without ``bounded_cache`` a scored step also keeps every frame
     generated so far, as if it read them. A frame is read at least by the
     step that generates it.
     """
     cfg = plan.cfg
     U = cfg.chunk_size
     last = np.arange(len(plan.generated) * U) // U
-    # the partition whose sink and tail select_memory reads
-    score_sink, score_tail = region_bounds(plan.generated, cfg)
-    reads_pool = plan.scored and cfg.bounded_cache and cfg.n_history > 0
-    columns = (plan.generated, plan.sink_stop, plan.tail_start, score_sink, score_tail)
+    columns = (plan.generated, plan.sink_stop, plan.tail_start)
     rows = zip(*(col.tolist() for col in columns), plan.pools)
-    for step, (i, sink_stop, tail_start, sink_s, tail_s, pool) in enumerate(rows):
+    for step, (i, sink_stop, tail_start, pool) in enumerate(rows):
         last[:sink_stop] = step
-        last[pool[: cfg.n_history]] = step
+        if cfg.n_history > 0:
+            last[pool] = step
         last[tail_start:i] = step
         if plan.scored and not cfg.bounded_cache:
             last[:i] = step
-        elif reads_pool and pool:
-            last[:sink_s] = step
-            last[pool] = step
-            last[tail_s:i] = step
     order = np.argsort(last, kind="stable")
     bounds = np.searchsorted(last[order], np.arange(1, len(plan.generated)))
     return [ids.tolist() for ids in np.split(order, bounds)]

@@ -362,9 +362,9 @@ def rollout_configs(draw):
 
 def live_frames(trace, step):
     """Brute-force live set after ``step``: every frame generated so far that a
-    later record reads, through its memory or, when it scored, the sink, pool
-    and tail whose keys selection reads (every frame so far when an unbounded
-    cache lets a scoring policy read them all)."""
+    later record may attend, through its memory or, when it scored, its pool
+    (every frame so far when an unbounded cache lets a scoring policy keep
+    them all)."""
     mcfg = trace.config.memory
     fixed = mcfg.policy is Policy.RELAXED and mcfg.fixed_history_position is not None
     scoring = mcfg.policy in (Policy.RELAXED, Policy.HISTORY_ONLY) and not fixed
@@ -372,10 +372,7 @@ def live_frames(trace, step):
     live = set()
     for rec in trace.records[step + 1 :]:
         i = rec.generated_before
-        live |= set(rec.memory.all_ids)
-        if rec.scored:
-            p = partition(i, mcfg)
-            live |= {s.frame_id for s in rec.scored} | set(p.sink_ids) | set(p.tail_ids)
+        live |= set(rec.memory.all_ids) | {s.frame_id for s in rec.scored}
         if scoring and not mcfg.bounded_cache:
             live |= set(range(i))
     return {f for f in live if f < count}
@@ -479,9 +476,8 @@ class TestProfileProperty:
             assert scored == (pool if scoring.n_history else [])
 
 
-def scored_config(n_sink, n_tail, bounded, layer):
-    mem = MemoryConfig(n_sink=n_sink, n_tail=n_tail, bounded_cache=bounded,
-                       scoring_layer=layer)
+def scored_config(n_sink, n_tail, layer):
+    mem = MemoryConfig(n_sink=n_sink, n_tail=n_tail, scoring_layer=layer)
     return RolloutConfig(memory=mem, model=TINY, total_frames=60, seed=3)
 
 
@@ -497,17 +493,19 @@ class TestScoredEqualsRecomputedProperty:
         policy=st.sampled_from([Policy.RELAXED, Policy.HISTORY_ONLY]),
         layer=st.none() | st.integers(0, TINY.layers - 1),
     )
-    @example(cfg=scored_config(0, 1, False, None), policy=Policy.RELAXED, layer=None)
-    @example(cfg=scored_config(0, 2, True, 1), policy=Policy.RELAXED, layer=1)
-    @example(cfg=scored_config(2, 3, False, 0), policy=Policy.RELAXED, layer=0)
-    @example(cfg=scored_config(2, 2, True, None), policy=Policy.HISTORY_ONLY, layer=None)
+    @example(cfg=scored_config(0, 1, None), policy=Policy.RELAXED, layer=None)
+    @example(cfg=scored_config(0, 2, 1), policy=Policy.RELAXED, layer=1)
+    @example(cfg=scored_config(2, 3, 0), policy=Policy.RELAXED, layer=0)
+    @example(cfg=scored_config(2, 2, None), policy=Policy.HISTORY_ONLY, layer=None)
     def test_scores_equal_recomputed_prototypes(self, cfg, policy, layer):
         """Every scored step's record holds, bit for bit, its pool's scores
         recomputed with frame_prototype, group_prototype and score_candidate
         from the frames cached when it selected: the sink prototype kept
-        across steps is the one recomputed every step."""
+        across steps is the one recomputed every step. An unbounded cache
+        keeps every frame to recompute from; bounded_cache changes nothing
+        in the records (TestBoundedCacheProperty)."""
         mem = replace(cfg.memory, policy=policy, fixed_history_position=None,
-                      scoring_layer=layer)
+                      scoring_layer=layer, bounded_cache=False)
         cfg = replace(cfg, memory=mem)
         expected = {}  # generated count -> recomputed scores
 
@@ -532,3 +530,20 @@ class TestScoredEqualsRecomputedProperty:
         assert len(expected) == len(trace.records)
         for rec in trace.records:
             assert hexed(rec.scored) == hexed(expected[rec.generated_before])
+
+
+class TestBoundedCacheProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(rollout_configs())
+    @example(bounded_config(Policy.RELAXED))
+    @example(bounded_config(Policy.HISTORY_ONLY))
+    @example(scored_config(3, 3, None))
+    def test_bounded_cache_changes_only_residency(self, cfg):
+        """A run makes the same records and the same frame_features bits with
+        and without bounded_cache: it changes only which frames stay cached."""
+        bounded, unbounded = (
+            run_rollout(replace(cfg, memory=replace(cfg.memory, bounded_cache=flag)))
+            for flag in (True, False)
+        )
+        assert bounded.records == unbounded.records
+        assert bounded.frame_features.tobytes() == unbounded.frame_features.tobytes()

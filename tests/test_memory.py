@@ -317,6 +317,33 @@ def test_select_memory_names_a_scored_frame_missing_from_cache(rng):
         select_memory(frames, means, 30, DEFAULTS, [16, 20, 24, 28], {})
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [DEFAULTS, MemoryConfig(n_sink=3, n_tail=3, n_history=2, pool_size=5)],
+    ids=["one-frame-tail", "sink3-tail3"],
+)
+def test_select_memory_scores_without_the_sink_and_tail_cached(rng, cfg):
+    """Selection reads the sink's and tail's prototypes from the mean-key
+    array: with their frames evicted it scores exactly as with them cached,
+    and as group_prototype recomputes from the frames."""
+    frames = {fid: make_frame(fid, rng.normal(size=(3, 4))) for fid in range(30)}
+    means = mean_rows(frames)
+    p = partition(30, cfg)
+    pool = sample_pool(restrict_candidates(p), cfg.pool_size)
+    proto_sink, proto_tail = (
+        group_prototype([frames[f] for f in ids]) for ids in (p.sink_ids, p.tail_ids)
+    )
+    expected = [
+        score_candidate(fid, frame_prototype(frames[fid]), proto_sink, proto_tail, cfg.lam)
+        for fid in pool
+    ]
+    evicted = {fid: f for fid, f in frames.items() if fid not in [*p.sink_ids, *p.tail_ids]}
+    for cached in (frames, evicted):
+        mem, scored = select_memory(cached, means, 30, cfg, pool, {})
+        assert scored == expected
+        assert (mem.sink_ids, mem.tail_ids) == (list(p.sink_ids), list(p.tail_ids))
+
+
 @pytest.mark.parametrize("zero, raises", [(4, False), (7, True)])
 def test_zero_mean_frame_raises_only_in_the_pool(rng, zero, raises):
     # at i=10 the defaults score the pool 6, 7, 8; frame 4 is a candidate

@@ -85,9 +85,9 @@ def oracle_eviction_schedule(cfg, total_frames):
         if not cfg.bounded_cache:
             last[:i] = step
             continue
-        (sink, _, tail), pool = oracle_step_pool(scoring, i)
+        _, pool = oracle_step_pool(scoring, i)
         if pool and scoring.n_history:
-            last[[*sink, *pool, *tail]] = step
+            last[pool] = step
     order = np.argsort(last, kind="stable")
     bounds = np.searchsorted(last[order], np.arange(1, len(steps)))
     return [ids.tolist() for ids in np.split(order, bounds)]

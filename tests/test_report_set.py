@@ -80,24 +80,29 @@ ROLLOUT = (
 
 
 @pytest.mark.parametrize(
-    "changed, verdict",
+    "changed, verdict, fields",
     [
         (ROLLOUT.replace(b"0.1234567890123456", b"0.1234567890123457"),
-         "default/relaxed/ tolerance check: within tolerance"),
+         "default/relaxed/ tolerance check: within tolerance",
+         "default/relaxed/rollout.json values differ in: steps.scored.relaxation"),
         (ROLLOUT.replace(b"[7]", b"[8]"),
-         "default/relaxed/ tolerance check: rollout.json.steps[0].history_ids[0]: 8 != 7"),
+         "default/relaxed/ tolerance check: rollout.json.steps[0].history_ids[0]: 8 != 7",
+         None),
     ],
     ids=["last-digit", "history-id"],
 )
 def test_differing_rollout_directory_gets_a_tolerance_verdict(
-    tmp_path, capsys, report_set, changed, verdict
+    tmp_path, capsys, report_set, changed, verdict, fields
 ):
+    """A directory within tolerance also names the fields whose values moved."""
     ref = write_set(tmp_path / "ref", {**FILES, "default/relaxed/rollout.json": ROLLOUT})
     out = write_set(tmp_path / "out", {**FILES, "default/relaxed/rollout.json": changed})
     assert report_set.check(out, ref) == 1
     captured = capsys.readouterr()
     assert captured.out.splitlines() == ["differs default/relaxed/rollout.json"]
-    assert verdict in captured.err.splitlines()
+    err = captured.err.splitlines()
+    assert verdict in err
+    assert [line for line in err if "values differ in" in line] == ([fields] if fields else [])
 
 
 def test_directory_without_a_rollout_gets_no_verdict(tmp_path, capsys, report_set):
@@ -105,3 +110,11 @@ def test_directory_without_a_rollout_gets_no_verdict(tmp_path, capsys, report_se
     out = write_set(tmp_path / "out", {**FILES, "sweep/sweep.json": b"[1]\n"})
     assert report_set.check(out, ref) == 1
     assert "tolerance check" not in capsys.readouterr().err
+
+
+def test_differing_fields_drop_list_indices(report_set):
+    ref = {"steps": [{"ids": [1, 2], "s": [{"x": 0.5, "y": 1}]}], "m": {"a": None}, "f": [[1.0]]}
+    out = {"steps": [{"ids": [1], "s": [{"x": 0.25, "y": 1}]}], "m": {"b": None}, "f": [[1.0]]}
+    assert report_set.differing_fields(ref, out) == {"steps.ids", "steps.s.x", "m"}
+    assert report_set.differing_fields(ref, ref) == set()
+    assert report_set.differing_fields(1, 1.0) == {"(top level)"}

@@ -13,7 +13,11 @@ are the same. For each differing directory that holds a `rollout.json`, it
 also prints on stderr the verdict of the benchmark's output check
 (`perfbench/reference.py`'s `compare_outputs`) on that directory: ids,
 roles, positions and costs exactly, scores, metrics and frame features
-within 1e-9 + 1e-6 * |ref|. The set is 8 policies x 10 variants x {rollout json, profile json,
+within 1e-9 + 1e-6 * |ref|. For a directory within tolerance it then names,
+for each of its differing JSON files, the fields whose values differ, as key
+paths without list indices (for example `steps.scored.stability`).
+
+The set is 8 policies x 10 variants x {rollout json, profile json,
 profile csv}, 8 policies x {profile csv, profile json} at 12,000 frames (the
 tables the `profile-long` benchmark workload times; no rollouts that long) and
 at 2**31 tokens a frame over 30 frames (score ops beyond int64), plus an
@@ -25,6 +29,7 @@ are empty cells), each in csv and json, all with seed 1. Every call goes through
 
 import argparse
 import itertools
+import json
 import os
 import sys
 
@@ -127,6 +132,19 @@ def first_difference(ref: bytes, out: bytes, width: int = 60) -> str:
     return f"line {number}: ref {ref_line}, out {out_line}"
 
 
+def differing_fields(ref, out, path: str = "") -> set[str]:
+    """The key paths, list indices left out, at which the JSON values ``ref``
+    and ``out`` differ; a path whose keys, length or type differ is named
+    itself."""
+    if isinstance(ref, dict) and isinstance(out, dict) and ref.keys() == out.keys():
+        return set().union(
+            *(differing_fields(ref[k], out[k], f"{path}.{k}" if path else k) for k in ref)
+        )
+    if isinstance(ref, list) and isinstance(out, list) and len(ref) == len(out):
+        return set().union(*(differing_fields(r, o, path) for r, o in zip(ref, out)))
+    return set() if type(ref) is type(out) and ref == out else {path or "(top level)"}
+
+
 def check(out: Path, ref: Path) -> int:
     """Compare the set in ``out`` with the one in ``ref``, byte for byte."""
     written, expected = _files(out), _files(ref)
@@ -145,6 +163,12 @@ def check(out: Path, ref: Path) -> int:
     for d in sorted({f.parent for f in differing if (ref / f.parent / "rollout.json").is_file()}):
         verdict = "; ".join(compare_outputs(out / d, ref / d)) or "within tolerance"
         print(f"{d}/ tolerance check: {verdict}", file=sys.stderr)
+        if verdict != "within tolerance":
+            continue
+        for f in (f for f in differing if f.parent == d and f.suffix == ".json"):
+            fields = differing_fields(*(json.loads((root / f).read_bytes()) for root in (ref, out)))
+            print(f"{f} values differ in: {', '.join(sorted(fields)) or 'no field'}",
+                  file=sys.stderr)
     if problems:
         print(f"{len(problems)} of {len(written | expected)} files do not match {ref}",
               file=sys.stderr)
