@@ -43,7 +43,7 @@ class CostReport:
 
 @dataclass
 class KVCache:
-    """Per-rollout store of generated frames.
+    """Per-rollout store of the generated frames that a later step may read.
 
     Frames hold per-layer K/V blocks; rotary rotation is applied at attention
     time because a frame's positional index changes from step to step.

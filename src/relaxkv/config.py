@@ -41,10 +41,8 @@ class MemoryConfig:
     # this fixed 0-based position in the candidate region (clamped to the most
     # recent candidate when fewer exist).
     fixed_history_position: int | None = None
-    # Every frame is evicted after the last step that may attend it, as a
-    # sink, tail or pool frame; selection scores from the frames' mean keys,
-    # not from the cache. When False, relaxed and history_only keep every
-    # frame generated so far anyway. Either way the reports are the same.
+    # Recorded in reports and has no effect: every run evicts each frame after
+    # the last step that may attend it, as a sink, tail or pool frame.
     bounded_cache: bool = False
     # None = score with keys mean-pooled over every layer; an int designates a
     # single scoring layer.

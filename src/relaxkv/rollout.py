@@ -183,9 +183,7 @@ def eviction_schedule(plan: MemoryPlan) -> list[list[int]]:
     Records the last step that reads each frame: the step attends its sink
     and tail and, when ``cfg.n_history > 0``, may attend any frame of its
     pool. Selection reads no other cached frame, as it scores from the mean
-    keys. Without ``bounded_cache`` a scored step also keeps every frame
-    generated so far, as if it read them. A frame is read at least by the
-    step that generates it.
+    keys. A frame is read at least by the step that generates it.
     """
     cfg = plan.cfg
     U = cfg.chunk_size
@@ -197,8 +195,6 @@ def eviction_schedule(plan: MemoryPlan) -> list[list[int]]:
         if cfg.n_history > 0:
             last[pool] = step
         last[tail_start:i] = step
-        if plan.scored and not cfg.bounded_cache:
-            last[:i] = step
     order = np.argsort(last, kind="stable")
     bounds = np.searchsorted(last[order], np.arange(1, len(plan.generated)))
     return [ids.tolist() for ids in np.split(order, bounds)]

@@ -291,13 +291,6 @@ class TestAppendAndEvict:
             )
             assert len(cache) <= bound
 
-    def test_unbounded_cache_keeps_candidate_region(self, rng):
-        cfg = MemoryConfig()
-        # step 20 reads the 60 frames of steps 0-19
-        for step, cache in self.steps(rng, cfg, 63):
-            if step == 19:
-                assert sorted(cache.frames) == list(range(60))
-
 
 def set_based_retention(ids, cfg, generated_count):
     """Brute-force retention rule: the set each policy keeps, built frame by
@@ -319,11 +312,7 @@ def set_based_retention(ids, cfg, generated_count):
         return {f for f in ids if f < cfg.n_sink or f >= i - recent}
     p = partition(i, cfg)
     keep = set(p.sink_ids) | set(p.tail_ids) | {f for f in ids if f >= i - cfg.chunk_size}
-    if cfg.bounded_cache:
-        keep |= set(restrict_candidates(p))
-    else:
-        keep |= set(p.candidate_ids)
-    return keep
+    return keep | set(restrict_candidates(p))
 
 
 def window_simulation(cfg, total_frames):
@@ -362,32 +351,29 @@ def rollout_configs(draw):
 
 def live_frames(trace, step):
     """Brute-force live set after ``step``: every frame generated so far that a
-    later record may attend, through its memory or, when it scored, its pool
-    (every frame so far when an unbounded cache lets a scoring policy keep
-    them all)."""
-    mcfg = trace.config.memory
-    fixed = mcfg.policy is Policy.RELAXED and mcfg.fixed_history_position is not None
-    scoring = mcfg.policy in (Policy.RELAXED, Policy.HISTORY_ONLY) and not fixed
-    count = trace.records[step].generated_before + mcfg.chunk_size
+    later record may attend, through its memory or, when it scored, its pool."""
+    count = trace.records[step].generated_before + trace.config.memory.chunk_size
     live = set()
     for rec in trace.records[step + 1 :]:
-        i = rec.generated_before
         live |= set(rec.memory.all_ids) | {s.frame_id for s in rec.scored}
-        if scoring and not mcfg.bounded_cache:
-            live |= set(range(i))
     return {f for f in live if f < count}
 
 
-def bounded_config(policy):
+def tiny_config(policy, **memory):
     return RolloutConfig(
-        memory=MemoryConfig(policy=policy, bounded_cache=True), model=TINY,
-        total_frames=60, seed=3,
+        memory=MemoryConfig(policy=policy, **memory), model=TINY, total_frames=60, seed=3
     )
+
+
+def bounded_config(policy):
+    return tiny_config(policy, bounded_cache=True)
 
 
 class TestRetentionProperty:
     @settings(max_examples=150, deadline=None)
     @given(rollout_configs())
+    @example(tiny_config(Policy.RELAXED))
+    @example(tiny_config(Policy.HISTORY_ONLY))
     @example(bounded_config(Policy.RELAXED))
     @example(bounded_config(Policy.HISTORY_ONLY))
     def test_cache_after_every_step(self, cfg):
@@ -500,32 +486,37 @@ class TestScoredEqualsRecomputedProperty:
     def test_scores_equal_recomputed_prototypes(self, cfg, policy, layer):
         """Every scored step's record holds, bit for bit, its pool's scores
         recomputed with frame_prototype, group_prototype and score_candidate
-        from the frames cached when it selected: the sink prototype kept
-        across steps is the one recomputed every step. An unbounded cache
-        keeps every frame to recompute from; bounded_cache changes nothing
-        in the records (TestBoundedCacheProperty)."""
+        from every frame generated before it selected: the sink prototype
+        kept across steps is the one recomputed every step. The frames are
+        logged as they reach the cache, which evicts those no later step attends."""
         mem = replace(cfg.memory, policy=policy, fixed_history_position=None,
-                      scoring_layer=layer, bounded_cache=False)
+                      scoring_layer=layer)
         cfg = replace(cfg, memory=mem)
+        generated = {}  # frame id -> frame, every frame of the run so far
         expected = {}  # generated count -> recomputed scores
+
+        def appending(cache, new_frames, expired):
+            generated.update((frame.id, frame) for frame in new_frames)
+            return append_and_evict(cache, new_frames, expired)
 
         def selecting(frames, means, generated_count, scfg, pool, sink_prototypes):
             result = memory_module.select_memory(
                 frames, means, generated_count, scfg, pool, sink_prototypes
             )
             p = partition(generated_count, scfg)
-            sink = [frames[f] for f in p.sink_ids]
-            tail = [frames[f] for f in p.tail_ids]
+            sink = [generated[f] for f in p.sink_ids]
+            tail = [generated[f] for f in p.tail_ids]
             proto_sink = group_prototype(sink, layer) if sink else None
             proto_tail = group_prototype(tail, layer) if tail else None
             expected[generated_count] = [
-                score_candidate(fid, frame_prototype(frames[fid], layer),
+                score_candidate(fid, frame_prototype(generated[fid], layer),
                                 proto_sink, proto_tail, scfg.lam)
                 for fid in (pool if scfg.n_history else [])
             ]
             return result
 
-        with mock.patch.object(rollout_module, "select_memory", selecting):
+        with mock.patch.object(rollout_module, "select_memory", selecting), \
+                mock.patch.object(rollout_module, "append_and_evict", appending):
             trace = run_rollout(cfg)
         assert len(expected) == len(trace.records)
         for rec in trace.records:
@@ -540,7 +531,8 @@ class TestBoundedCacheProperty:
     @example(scored_config(3, 3, None))
     def test_bounded_cache_changes_only_residency(self, cfg):
         """A run makes the same records and the same frame_features bits with
-        and without bounded_cache: it changes only which frames stay cached."""
+        and without bounded_cache: the field is recorded in reports and
+        changes nothing in a run."""
         bounded, unbounded = (
             run_rollout(replace(cfg, memory=replace(cfg.memory, bounded_cache=flag)))
             for flag in (True, False)

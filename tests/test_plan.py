@@ -82,9 +82,6 @@ def oracle_eviction_schedule(cfg, total_frames):
         last[mem.all_ids] = step
         if scoring is None:
             continue
-        if not cfg.bounded_cache:
-            last[:i] = step
-            continue
         _, pool = oracle_step_pool(scoring, i)
         if pool and scoring.n_history:
             last[pool] = step
@@ -161,6 +158,31 @@ class TestMemoryPlan:
             assert rows[-1][-1] == 2 ** (61 + frames)
             assert rows == oracle_profile_rows(cfg)
             assert all(type(value) is int for row in rows for value in row)
+
+
+def peak_residency(cfg, total_frames):
+    """The most frames the cache holds at once, read from the eviction
+    schedule alone, without generating a frame: each step's chunk joins the
+    cache before the step's expired frames leave it."""
+    U = cfg.chunk_size
+    expired = eviction_schedule(memory_plan(cfg, np.arange(0, total_frames, U)))
+    left = np.cumsum([0, *(len(ids) for ids in expired[:-1])])
+    return int((U * np.arange(1, len(expired) + 1) - left).max())
+
+
+class TestResidency:
+    def test_scored_runs_hold_about_a_quarter_of_their_frames(self):
+        """A scored run keeps only the frames a later step may attend, about
+        a quarter of those it generates, whatever bounded_cache says."""
+        peaks = {
+            Policy.RELAXED: {1500: 345, 12000: 2718},
+            Policy.HISTORY_ONLY: {1500: 343, 12000: 2716},
+        }
+        for policy, by_frames in peaks.items():
+            for frames, peak in by_frames.items():
+                for flag in (False, True):
+                    cfg = MemoryConfig(policy=policy, bounded_cache=flag)
+                    assert peak_residency(cfg, frames) == peak
 
 
 class TestOnePoolPerScoredStep:

@@ -59,6 +59,8 @@ VARIANTS = {
     "sink3_tail0_history2_pool5": [
         "memory.n_sink=3", "memory.n_tail=0", "memory.n_history=2", "memory.pool_size=5",
     ],
+    # bounded_cache has no effect on a run; these two variants check that the
+    # field is still parsed and echoed into every report's config
     "bounded_90": ["memory.bounded_cache=true", "rollout.total_frames=90"],
     "fixed2": ["memory.fixed_history_position=2"],
     "layer1_window12": ["memory.scoring_layer=1", "memory.window_size=12"],
