@@ -4,13 +4,13 @@ The stack stands in for a large video backbone at desk scale: all projection
 matrices are a pure function of the run seed, every chunk is generated in a
 single forward pass, and attention cost is counted exactly.
 
-Each step rotates the memory keys, and each layer's chunk queries and keys,
-by one complex multiply with the step's phases (``rope.rotate_by_phases``).
-The softmax is normalized after the value product: ``exp(logits - max) @ V``
-is divided by the row sums, one division per context entry instead of one
-per logit. Both attention products run in blocks of query rows small enough
-that OpenBLAS computes each on one thread (``_matmul``), so a report's bytes
-do not depend on the BLAS thread count.
+Each step rotates the memory keys, and each layer's chunk queries and keys
+(one product makes q, k and v), by one complex multiply with its rows of the
+run's phase table. The softmax subtracts the layer's logit maximum (each
+row's past ``_SHIFT_RANGE``) and divides by the row sums after the value
+product, whose ones column makes them. Both attention products run in blocks
+of query rows small enough that OpenBLAS computes each on one thread
+(``_matmul``), so a report's bytes do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -25,13 +25,15 @@ from .memory import Frame, StructuredMemory, _cached
 from .memory import (  # noqa: F401  (perfbench/spans.py wraps them by name here)
     partition, restrict_candidates,
 )
-from .rope import rotate_by_phases, rotation_phases
+from .rope import rotate_by_phases
 from .rope import rotate_tokens  # noqa: F401  (perfbench/spans.py wraps it by name here)
 
 # OpenBLAS computes a gemm of m·n·k at most this on one thread (the
 # GEMM_MULTITHREAD_THRESHOLD rule of its interface/gemm.c), so a product made
 # of such gemms has the same bits at any thread count.
 _ONE_THREAD_GEMM = 262_144
+# e^-700 is a normal double (the least is about e^-708)
+_SHIFT_RANGE = 700.0
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,8 @@ class KVCache:
 
 
 class ToyAttentionStack:
-    """Seeded projection matrices plus frame-token embedding."""
+    """Seeded projection matrices plus frame-token embedding. Attention reads
+    a layer's wq, wk and wv as ``qkv``, ``[wq / sqrt(head_dim) | wk | wv]``."""
 
     def __init__(self, params: ModelParams, seed: int):
         self.params = params
@@ -69,35 +72,46 @@ class ToyAttentionStack:
             self.weights.append(
                 tuple(rng.normal(size=(d, d)) * scale for _ in range(4))
             )
+        q_scale = 1.0 / np.sqrt(params.head_dim)
+        self.qkv = [np.hstack([wq * q_scale, wk, wv]) for wq, wk, wv, _ in self.weights]
         # Fixed per-token spatial offset channel, shared by every frame.
         self.token_offsets = (
             np.random.default_rng([seed, 11]).normal(size=(params.frame_tokens, d)) * 0.2
         )
 
     def embed_chunk(self, frame_ids: list[int]) -> np.ndarray:
-        """Input latents for the frames about to be generated: (U, F, d)."""
+        """Input latents for the frames about to be generated: (U, F, d). Frame
+        fid draws from ``default_rng([seed, 13, fid])``, given as its uint32 words."""
         p = self.params
         out = np.empty((len(frame_ids), p.frame_tokens, p.d))
+        head = [*_uint32_words(self.seed), 13]
         for j, fid in enumerate(frame_ids):
-            rng = np.random.default_rng([self.seed, 13, fid])
-            out[j] = rng.standard_normal((p.frame_tokens, p.d)) * 0.5 + self.token_offsets
+            entropy = np.array([*head, *_uint32_words(fid)], dtype=np.uint32)
+            np.random.default_rng(entropy).standard_normal(out=out[j])
+        out *= 0.5
+        out += self.token_offsets
         return out
+
+
+def _uint32_words(n: int) -> list[int]:
+    """``n``'s little-endian uint32 words, as ``SeedSequence`` splits an int."""
+    return [(n >> s) & 0xFFFFFFFF for s in range(0, max(n.bit_length(), 1), 32)]
 
 
 def attend_chunk(
     chunk_hidden: np.ndarray,
     mem: StructuredMemory,
-    first_position: int,
+    phases: np.ndarray,
     cache: KVCache,
     stack: ToyAttentionStack,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, CostReport]:
     """Run the chunk through the stack attending over the structured memory.
 
-    The memory, in ``all_ids`` order, and then the chunk are rotated to the
-    consecutive positions from ``first_position`` (see
-    ``rollout.MemoryPlan.first_positions``). Returns output latents (U, F, d),
-    the chunk's per-layer keys and values (layers, U, F, d) for cache
-    insertion, and the exact cost accounting.
+    The memory, in ``all_ids`` order, and then the chunk are rotated by the
+    rows of ``phases``, one per frame: ``rotation_phases`` of consecutive
+    positions (see ``rollout.MemoryPlan.first_positions``). Returns output
+    latents (U, F, d), the chunk's per-layer keys and values (layers, U, F, d)
+    for cache insertion, and the exact cost accounting.
     Intra-chunk attention is bidirectional; memory keys are shared by every
     chunk token.
     """
@@ -109,47 +123,46 @@ def attend_chunk(
 
     H, hd = p.heads, p.head_dim
     M = len(mem_frames)
+    if len(phases) != M + U:
+        raise ContractViolationError(f"{len(phases)} phase rows for {M + U} frames")
     n_mem, n_new = M * F, U * F
-    # phases of every attended frame, memory then chunk, for all layers
-    phases = rotation_phases(range(first_position, first_position + M + U), p.rotary)
-    # Head-split, rotated keys and values of memory then chunk, for every
-    # layer: (layers, M + U, F, H, hd). The memory part is gathered from
-    # the cache and rotated once per step, not once per layer.
+    # Head-split, rotated keys, and values with a ones column, of memory then
+    # chunk for every layer: (layers, M + U, F, H, hd [+ 1]). The memory part
+    # is rotated and copied in from the cache once per step, not per layer.
     keys = np.empty((p.layers, M + U, F, H, hd))
-    values = np.empty_like(keys)
-    if mem_frames:
-        k_mem = np.stack([f.keys for f in mem_frames], axis=1)
-        v_mem = np.stack([f.values for f in mem_frames], axis=1)
-        keys[:, :M] = rotate_by_phases(k_mem.reshape(p.layers, M, F, H, hd), phases[:M])
-        values[:, :M] = v_mem.reshape(p.layers, M, F, H, hd)
+    values = np.empty((p.layers, M + U, F, H, hd + 1))
+    values[..., hd] = 1.0
+    key_pairs = keys.view(np.complex128)
+    for j, f in enumerate(mem_frames):
+        pairs = f.keys.reshape(p.layers, F, H, hd).view(np.complex128)
+        np.multiply(pairs, phases[j], out=key_pairs[:, j])
+        values[:, j, ..., :hd] = f.values.reshape(p.layers, F, H, hd)
 
-    scale = 1.0 / np.sqrt(hd)
     h = chunk_hidden.reshape(n_new, d)
     new_keys = np.empty((p.layers, U, F, d))
     new_values = np.empty((p.layers, U, F, d))
     ops = 0
-    for layer, (wq, wk, wv, wo) in enumerate(stack.weights):
-        q = h @ wq
-        k_new = h @ wk
-        v_new = h @ wv
-        new_keys[layer] = k_new.reshape(U, F, d)
-        new_values[layer] = v_new.reshape(U, F, d)
-        q_h = rotate_by_phases(q.reshape(U, F, H, hd), phases[M:]).reshape(n_new, H, hd)
-        keys[layer, M:] = rotate_by_phases(k_new.reshape(U, F, H, hd), phases[M:])
-        values[layer, M:] = v_new.reshape(U, F, H, hd)
+    for layer, (w_qkv, (*_, wo)) in enumerate(zip(stack.qkv, stack.weights)):
+        qkv = h @ w_qkv
+        new_keys[layer] = qkv[:, d : 2 * d].reshape(U, F, d)
+        new_values[layer] = qkv[:, 2 * d :].reshape(U, F, d)
+        qk = rotate_by_phases(qkv[:, : 2 * d].reshape(U, F, 2, H, hd), phases[M:, :, None])
+        keys[layer, M:] = qk[:, :, 1]
+        values[layer, M:, ..., :hd] = qkv[:, 2 * d :].reshape(U, F, H, hd)
 
         # (H, n_new, hd) @ (H, hd, K) -> (H, n_new, K)
-        q_h = q_h * scale
+        q_h = qk[:, :, 0].reshape(n_new, H, hd)
         k_h = keys[layer].reshape(n_mem + n_new, H, hd)
         logits = _matmul(q_h.transpose(1, 0, 2), k_h.transpose(1, 2, 0))
         ops += logits.size
-        logits -= logits.max(axis=2, keepdims=True)
+        top = logits.max()
+        logits -= top if top - logits.min() <= _SHIFT_RANGE else logits.max(2, keepdims=True)
         attn = np.exp(logits, out=logits)
-        # (H, n_new, K) @ (H, K, hd) -> (H, n_new, hd), then the softmax's
-        # normalization, one division per context entry
-        v_h = values[layer].reshape(n_mem + n_new, H, hd)
+        # (H, n_new, K) @ (H, K, hd + 1) -> (H, n_new, hd + 1): the context
+        # and the row sums, then the softmax's one division per context entry
+        v_h = values[layer].reshape(n_mem + n_new, H, hd + 1)
         ctx = _matmul(attn, v_h.transpose(1, 0, 2))
-        ctx /= attn.sum(axis=2, keepdims=True)
+        ctx = ctx[..., :hd] / ctx[..., hd:]
         h = h + ctx.transpose(1, 0, 2).reshape(n_new, d) @ wo
 
     attended = M + U

@@ -28,6 +28,7 @@ from .memory import (
     second_half_start,
     select_memory,
 )
+from .rope import rotation_phases
 from .rope import (  # noqa: F401  (perfbench/spans.py wraps them by name here)
     relaxed_positions, window_positions,
 )
@@ -213,6 +214,9 @@ def run_rollout(cfg: RolloutConfig) -> RolloutTrace:
     # every frame's scoring mean key, the rows select_memory reads
     means = np.empty((cfg.total_frames, cfg.model.d)) if plan.scored else None
     sink_prototypes = {}  # sink size -> its prototype, as select_memory keeps it
+    # a step rotates positions up to its chunk's last, generated - origin + U - 1
+    last = int((plan.generated - plan.origin).max()) + U - 1
+    phases = rotation_phases(range(last + 1), cfg.model.rotary)
 
     steps = zip(plan.generated.tolist(), plan.first_positions().tolist())
     step = 0
@@ -229,7 +233,8 @@ def run_rollout(cfg: RolloutConfig) -> RolloutTrace:
                 mem = replace(mem, history_ids=chosen.history_ids)
 
             hidden = stack.embed_chunk(chunk_ids)
-            out, new_keys, new_values, cost = attend_chunk(hidden, mem, first, cache, stack)
+            step_phases = phases[first : first + len(mem) + U]
+            out, new_keys, new_values, cost = attend_chunk(hidden, mem, step_phases, cache, stack)
             if not (np.isfinite(new_keys).all() and np.isfinite(new_values).all()):
                 raise ContractViolationError("chunk keys or values contain non-finite entries")
             new_frames = [

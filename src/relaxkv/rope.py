@@ -9,10 +9,11 @@ for those positions.
 The rotation turns each channel pair (2j, 2j+1) by its angle. A rollout
 rotates by one complex multiply: the pair is read as the complex number
 ``v[2j] + i·v[2j+1]`` and multiplied by the phase ``cos + i·sin`` of its
-angle, one phase row per frame position (``rotation_phases``,
-``rotate_by_phases``). ``rotation_tables`` and ``rotate_tokens`` compute the
-same rotation from real per-token tables, bit for bit as the pair formulas;
-they are the reference the complex form is checked against, to a few ulps.
+angle, one phase row per frame position (``rotation_phases``, built once per
+run and sliced per step, ``rotate_by_phases``). ``rotation_tables`` and
+``rotate_tokens`` compute the same rotation from real per-token tables, bit
+for bit as the pair formulas; they are the reference the complex form is
+checked against, to a few ulps.
 """
 
 from __future__ import annotations
@@ -143,8 +144,8 @@ def rotation_phases(positions, params: RotaryParams) -> np.ndarray:
 
 
 def rotate_by_phases(vecs: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Rotary rotation of the C-contiguous float64 vecs (..., frames, tokens,
-    heads, dim) by ``rotation_phases`` of the frames' positions: one complex
-    multiply per channel pair. It equals ``rotate_tokens`` to within a few
-    ulps of the pair's magnitude, and at position 0 it is the identity."""
+    """Rotary rotation of float64 vecs (..., frames, tokens, heads, dim) with a
+    contiguous last axis by ``rotation_phases`` of the frames' positions: one
+    complex multiply per channel pair. It equals ``rotate_tokens`` to within a
+    few ulps of the pair's magnitude, and at position 0 it is the identity."""
     return (vecs.view(np.complex128) * phases).view(np.float64)

@@ -37,7 +37,7 @@ from relaxkv.config import RotaryParams
 from relaxkv.memory import partition
 
 from conftest import random_unit
-from test_attention import naive_reference, random_frame
+from test_attention import naive_reference, phases_from, random_frame
 from test_memory import scan_topk_oracle
 from test_metrics import (
     PUBLISHED_BALANCES,
@@ -173,7 +173,8 @@ def test_attention_oracle():
             mem = StructuredMemory(tail_ids=list(range(n_mem)))
             plan = relaxed_positions(mem, n_mem, U)
             h = rng.normal(size=(U, params.frame_tokens, params.d))
-            out, _, _, _ = attend_chunk(h, mem, n_mem - len(mem), cache, stack)
+            phases = phases_from(n_mem - len(mem), len(mem) + U, params)
+            out, _, _, _ = attend_chunk(h, mem, phases, cache, stack)
             ref = naive_reference(
                 h, mem_frames, list(range(n_mem)),
                 plan.current_chunk_positions, stack,

@@ -30,6 +30,7 @@ from relaxkv import (
 from relaxkv.cli import profile_rows
 from relaxkv.errors import CacheMissError
 from relaxkv.memory import frame_prototype, group_prototype, score_candidate
+from relaxkv.rope import rotation_phases
 from relaxkv.rollout import eviction_schedule, memory_plan, structured_step_memory
 
 from test_memory import list_regions
@@ -80,18 +81,47 @@ def naive_reference(chunk_hidden, mem_frames, mem_positions, chunk_positions, st
     return h.reshape(U, F, d)
 
 
+def first_layer_logit_span(chunk_hidden, mem_frames, stack):
+    """max - min of the first layer's logits over every head, with the memory
+    then the chunk at positions from 0, computed with plain loops."""
+    p = stack.params
+    F, d = p.frame_tokens, p.d
+    wq, wk, _, _ = stack.weights[0]
+    h = chunk_hidden.reshape(-1, d)
+    keys = np.concatenate([*(f.keys[0] for f in mem_frames), h @ wk])
+    k_pos = [row // F for row in range(len(keys))]
+    q_pos = k_pos[len(mem_frames) * F :]
+    logits = [
+        naive_rotate(q[lo : lo + p.head_dim], qp, p.rotary_base)
+        @ naive_rotate(k[lo : lo + p.head_dim], kp, p.rotary_base)
+        / math.sqrt(p.head_dim)
+        for lo in range(0, d, p.head_dim)
+        for q, qp in zip(h @ wq, q_pos)
+        for k, kp in zip(keys, k_pos)
+    ]
+    return max(logits) - min(logits)
+
+
+def phases_from(first, frames, params):
+    """The phase rows of ``frames`` frames at consecutive positions from
+    ``first``, as a rollout step passes them to attend_chunk."""
+    return rotation_phases(range(first, first + frames), params.rotary)
+
+
 def random_frame(rng, fid, params):
     shape = (params.layers, params.frame_tokens, params.d)
     return Frame(id=fid, keys=rng.normal(size=shape), values=rng.normal(size=shape))
 
 
 class TestEmbedChunk:
-    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**40, 2**64, 2**64 + 2**33 + 5])
     def test_bits_equal_the_normal_draw(self, seed):
-        """standard_normal draws the bits that normal(0, 1) drew, frame by frame."""
+        """standard_normal draws the bits that normal(0, 1) drew, frame by frame,
+        and the seed's and frame id's uint32 words are those SeedSequence makes
+        of ``[seed, 13, fid]``, past one word each."""
         params = ModelParams(layers=1, heads=2, head_dim=8, frame_tokens=5)
         stack = ToyAttentionStack(params, seed)
-        fids = [0, 1, 2, 13, 1499, 12345]
+        fids = [0, 1, 2, 13, 1499, 12345, 2**32 - 1, 2**32, 2**32 + 7, 2**64 + 1]
         shape = (params.frame_tokens, params.d)
         expected = np.stack([
             np.random.default_rng([seed, 13, fid]).normal(size=shape) * 0.5
@@ -113,7 +143,8 @@ class TestAttendChunk:
             np.eye(params.d),
         )
         h = np.random.default_rng(1).normal(size=(1, 1, params.d))
-        out, _, _, cost = attend_chunk(h, StructuredMemory(), 0, KVCache(), stack)
+        phases = phases_from(0, 1, params)
+        out, _, _, cost = attend_chunk(h, StructuredMemory(), phases, KVCache(), stack)
         # softmax over one element: context is exactly that token's value
         np.testing.assert_allclose(out, h + h.reshape(1, -1) @ wv)
         assert cost.attended_frames == 1
@@ -122,7 +153,9 @@ class TestAttendChunk:
         params = ModelParams(layers=1, heads=2, head_dim=4, frame_tokens=2)
         stack = ToyAttentionStack(params, seed=5)
         wv = stack.weights[0][2]
-        # zero key projection: every key (cached and fresh) is the zero vector
+        # zero key projection: every key (cached and fresh) is the zero vector.
+        # Attention reads wk as the middle columns of the layer's qkv matrix.
+        stack.qkv[0][:, params.d : 2 * params.d] = 0.0
         stack.weights[0] = (
             stack.weights[0][0],
             np.zeros((params.d, params.d)),
@@ -136,7 +169,7 @@ class TestAttendChunk:
         cache = KVCache(frames={0: mem_frame})
         mem = StructuredMemory(tail_ids=[0])
         h = rng.normal(size=(1, params.frame_tokens, params.d))
-        out, _, _, _ = attend_chunk(h, mem, 0, cache, stack)
+        out, _, _, _ = attend_chunk(h, mem, phases_from(0, 2, params), cache, stack)
         values = np.concatenate(
             [mem_frame.values[0], h.reshape(-1, params.d) @ wv]
         )
@@ -155,7 +188,7 @@ class TestAttendChunk:
         U = 2
         h = rng.normal(size=(U, SMALL.frame_tokens, SMALL.d))
         # the tail keeps its absolute indices, so memory and chunk start at 0
-        out, _, _, cost = attend_chunk(h, mem, 0, cache, stack)
+        out, _, _, cost = attend_chunk(h, mem, phases_from(0, n_mem + U, SMALL), cache, stack)
         ref = naive_reference(
             h, mem_frames, list(range(n_mem)), list(range(i, i + U)), stack
         )
@@ -181,7 +214,8 @@ class TestAttendChunk:
         cache = KVCache(frames={f.id: f for f in mem_frames})
         mem = StructuredMemory(tail_ids=list(range(n_mem)))
         h = rng.normal(size=(U, params.frame_tokens, params.d))
-        out, new_keys, new_values, cost = attend_chunk(h, mem, 0, cache, stack)
+        phases = phases_from(0, n_mem + U, params)
+        out, new_keys, new_values, cost = attend_chunk(h, mem, phases, cache, stack)
         ref = naive_reference(
             h, mem_frames, list(range(n_mem)), list(range(n_mem, n_mem + U)), stack
         )
@@ -194,12 +228,32 @@ class TestAttendChunk:
         np.testing.assert_array_equal(new_values[0].reshape(flat.shape), flat @ wv)
         assert cost == count_step_cost(mem, U, params.frame_tokens, params)
 
+    @pytest.mark.parametrize("key_scale", [1.0, 1e3], ids=["block-max", "row-max"])
+    def test_logits_past_the_shift_range(self, rng, key_scale):
+        """While a layer's logits span at most 700 the softmax subtracts their
+        block maximum; a memory frame whose keys are scaled by 1e3 spreads
+        them further, and each row's maximum is subtracted instead. Both
+        stay finite and match the reference."""
+        stack = ToyAttentionStack(SMALL, seed=4)
+        mem_frames = [random_frame(rng, fid, SMALL) for fid in range(3)]
+        big = mem_frames[1]
+        mem_frames[1] = Frame(id=1, keys=big.keys * key_scale, values=big.values)
+        cache = KVCache(frames={f.id: f for f in mem_frames})
+        mem = StructuredMemory(tail_ids=[0, 1, 2])
+        h = rng.normal(size=(2, SMALL.frame_tokens, SMALL.d))
+        span = first_layer_logit_span(h, mem_frames, stack)
+        assert (span > 700) == (key_scale > 1)
+        out, _, _, _ = attend_chunk(h, mem, phases_from(0, 5, SMALL), cache, stack)
+        ref = naive_reference(h, mem_frames, [0, 1, 2], [3, 4], stack)
+        assert np.isfinite(out).all()
+        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
+
     def test_cache_miss(self):
         stack = ToyAttentionStack(SMALL, seed=0)
         mem = StructuredMemory(tail_ids=[0])
         h = np.zeros((1, SMALL.frame_tokens, SMALL.d))
         with pytest.raises(CacheMissError):
-            attend_chunk(h, mem, 0, KVCache(), stack)
+            attend_chunk(h, mem, phases_from(0, 2, SMALL), KVCache(), stack)
 
     @pytest.mark.parametrize("first", [0, 1, 17])
     def test_positions_run_on_from_first_position(self, first):
@@ -212,7 +266,8 @@ class TestAttendChunk:
         cache = KVCache(frames={f.id: f for f in mem_frames})
         U = 2
         h = rng.normal(size=(U, SMALL.frame_tokens, SMALL.d))
-        out, _, _, _ = attend_chunk(h, mem, first, cache, stack)
+        phases = phases_from(first, len(mem) + U, SMALL)
+        out, _, _, _ = attend_chunk(h, mem, phases, cache, stack)
         positions = list(range(first, first + len(mem) + U))
         ref = naive_reference(h, mem_frames, positions[:-U], positions[-U:], stack)
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
@@ -226,7 +281,7 @@ class TestAttendChunk:
         cache = KVCache(frames={f.id: f for f in frames})
         mem = StructuredMemory(sink_ids=[0, 1], history_ids=[2], tail_ids=[3])
         h = rng.normal(size=(3, SMALL.frame_tokens, SMALL.d))
-        _, _, _, cost = attend_chunk(h, mem, 0, cache, stack)
+        _, _, _, cost = attend_chunk(h, mem, phases_from(0, 4 + 3, SMALL), cache, stack)
         analytic = count_step_cost(mem, 3, SMALL.frame_tokens, SMALL)
         assert cost == analytic
 

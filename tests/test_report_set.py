@@ -118,3 +118,42 @@ def test_differing_fields_drop_list_indices(report_set):
     assert report_set.differing_fields(ref, out) == {"steps.ids", "steps.s.x", "m"}
     assert report_set.differing_fields(ref, ref) == set()
     assert report_set.differing_fields(1, 1.0) == {"(top level)"}
+
+
+SWEEP_CSV = (
+    b"# schema_version: 1\r\npolicy,drift,total_score_ops\r\n"
+    b"relaxed,0.1234567890123456,21473280\r\n"
+)
+SWEEP_JSON = b'{"rows": [{"policy": "relaxed", "drift": 0.25, "total_score_ops": 21473280}]}\n'
+
+
+@pytest.mark.parametrize(
+    "name, changed, verdict",
+    [
+        ("sweep/sweep.csv", SWEEP_CSV.replace(b"3456,", b"3457,"), "within tolerance"),
+        ("sweep/sweep.csv", SWEEP_CSV.replace(b"0.1234567890123456", b"0.1235"),
+         "[2][1]: 0.1235 outside tolerance of 0.1234567890123456"),
+        ("sweep/sweep.csv", SWEEP_CSV.replace(b"280", b"281"), "[2][2]: '21473281' != '21473280'"),
+        ("sweep/sweep.json", SWEEP_JSON.replace(b"0.25", b"0.2500000000000001"),
+         "within tolerance"),
+        ("sweep/sweep.json", SWEEP_JSON.replace(b"280", b"281"),
+         "rows[0].total_score_ops: 21473281 != 21473280"),
+        ("sweep/sweep.json", SWEEP_JSON.replace(b"0.25", b"1"), "rows[0].drift: 1 != 0.25"),
+        ("sweep/sweep.json", b"[\n", "unreadable"),
+    ],
+    ids=["csv-last-digit", "csv-float", "csv-int", "json-last-digit", "json-int",
+         "json-type", "json-unreadable"],
+)
+def test_differing_table_gets_a_table_verdict(
+    tmp_path, capsys, report_set, name, changed, verdict
+):
+    """A sweep or compare table that differs is still a difference, and gets a
+    verdict: floats within tolerance, every other cell exactly."""
+    files = {**FILES, "sweep/sweep.csv": SWEEP_CSV, "sweep/sweep.json": SWEEP_JSON}
+    ref = write_set(tmp_path / "ref", files)
+    out = write_set(tmp_path / "out", {**files, name: changed})
+    assert report_set.check(out, ref) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [f"differs {name}"]
+    [line] = [line for line in captured.err.splitlines() if "table check" in line]
+    assert line.startswith(f"{name} table check: ") and verdict in line

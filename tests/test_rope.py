@@ -224,3 +224,17 @@ class TestPhaseRotation:
         assert phases.shape == (3, 1, 1, 4)
         assert np.array_equal(phases.real.reshape(3, 4), cos.reshape(3, 4))
         assert np.array_equal(phases.imag.reshape(3, 4), sin.reshape(3, 4))
+
+    @pytest.mark.parametrize(
+        "start, a, b",
+        [(0, 0, 7), (0, 1493, 1500), (0, 99_990, 100_000), (2**40, 5, 45), (10**15, 0, 64)],
+        ids=["first", "relaxed-1500", "table-end", "2**40", "10**15"],
+    )
+    def test_table_rows_equal_the_step_table(self, start, a, b):
+        """A rollout builds one phase table per run and slices each step's
+        rows from it; every row has the bits of a table of that step alone."""
+        params = RotaryParams(base_theta=10000.0, dim=16)
+        n = 100_000 if start == 0 else 64
+        table = rotation_phases(range(start, start + n), params)
+        step = rotation_phases(range(start + a, start + b), params)
+        assert table[a:b].tobytes() == step.tobytes()

@@ -15,7 +15,10 @@ also prints on stderr the verdict of the benchmark's output check
 roles, positions and costs exactly, scores, metrics and frame features
 within 1e-9 + 1e-6 * |ref|. For a directory within tolerance it then names,
 for each of its differing JSON files, the fields whose values differ, as key
-paths without list indices (for example `steps.scored.stability`).
+paths without list indices (for example `steps.scored.stability`). Every
+other differing CSV or JSON table, a sweep, the compare or a profile written
+without a rollout, gets a table verdict on stderr: float cells within the
+same tolerance, every other cell, ints included, exactly.
 
 The set is 8 policies x 10 variants x {rollout json, profile json,
 profile csv}, 8 policies x {profile csv, profile json} at 12,000 frames (the
@@ -28,6 +31,8 @@ are empty cells), each in csv and json, all with seed 1. Every call goes through
 """
 
 import argparse
+import csv
+import io
 import itertools
 import json
 import os
@@ -44,7 +49,7 @@ from pathlib import Path  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import relaxkv  # noqa: E402
-from reference import compare_outputs  # noqa: E402
+from reference import ABS_TOL, REL_TOL, compare_outputs  # noqa: E402
 from relaxkv.cli import main  # noqa: E402
 from relaxkv.config import Policy  # noqa: E402
 
@@ -147,6 +152,45 @@ def differing_fields(ref, out, path: str = "") -> set[str]:
     return set() if type(ref) is type(out) and ref == out else {path or "(top level)"}
 
 
+def _csv_cell(text: str):
+    """A CSV cell as ``table_difference`` reads it: a float if it spells a
+    number that is not an int, else its text."""
+    try:
+        return text if text.lstrip("-").isdigit() else float(text)
+    except ValueError:
+        return text
+
+
+def read_table(path: Path):
+    """A CSV table as rows of cells (``_csv_cell``), or a JSON table's value."""
+    text = path.read_text()
+    if path.suffix == ".csv":
+        return [[_csv_cell(c) for c in row] for row in csv.reader(io.StringIO(text, newline=""))]
+    return json.loads(text)
+
+
+def table_difference(ref, out, path: str = "") -> str | None:
+    """The first place at which the tables ``ref`` and ``out`` disagree, or
+    None: floats within ``ABS_TOL + REL_TOL * |ref|``, every other value and
+    the structure exactly."""
+    where = path or "(top level)"
+    if isinstance(ref, dict) and isinstance(out, dict):
+        if ref.keys() != out.keys():
+            return f"{where}: keys differ"
+        pairs = ((ref[k], out[k], f"{path}.{k}" if path else k) for k in ref)
+    elif isinstance(ref, list) and isinstance(out, list):
+        if len(ref) != len(out):
+            return f"{where}: length differs"
+        pairs = ((r, o, f"{path}[{i}]") for i, (r, o) in enumerate(zip(ref, out)))
+    elif type(ref) is float and type(out) is float:
+        return None if abs(out - ref) <= ABS_TOL + REL_TOL * abs(ref) else (
+            f"{where}: {out!r} outside tolerance of {ref!r}"
+        )
+    else:
+        return None if type(ref) is type(out) and ref == out else f"{where}: {out!r} != {ref!r}"
+    return next(filter(None, (table_difference(r, o, p) for r, o, p in pairs)), None)
+
+
 def check(out: Path, ref: Path) -> int:
     """Compare the set in ``out`` with the one in ``ref``, byte for byte."""
     written, expected = _files(out), _files(ref)
@@ -162,7 +206,15 @@ def check(out: Path, ref: Path) -> int:
     for f in differing:
         print(f"{f} {first_difference((ref / f).read_bytes(), (out / f).read_bytes())}",
               file=sys.stderr)
-    for d in sorted({f.parent for f in differing if (ref / f.parent / "rollout.json").is_file()}):
+    in_rollout_dir = {f for f in differing if (ref / f.parent / "rollout.json").is_file()}
+    for f in differing:
+        if f not in in_rollout_dir and f.suffix in (".csv", ".json"):
+            try:
+                verdict = table_difference(read_table(ref / f), read_table(out / f))
+            except ValueError as exc:  # not a table: bad JSON or bytes
+                verdict = f"unreadable ({exc})"
+            print(f"{f} table check: {verdict or 'within tolerance'}", file=sys.stderr)
+    for d in sorted({f.parent for f in in_rollout_dir}):
         verdict = "; ".join(compare_outputs(out / d, ref / d)) or "within tolerance"
         print(f"{d}/ tolerance check: {verdict}", file=sys.stderr)
         if verdict != "within tolerance":
