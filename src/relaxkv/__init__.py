@@ -8,7 +8,7 @@ from .attention import (
     attend_chunk,
     count_step_cost,
 )
-from .config import MemoryConfig, ModelParams, Policy, RolloutConfig, RotaryParams
+from .config import MemoryConfig, ModelParams, Policy, RolloutConfig
 from .memory import (
     Frame,
     Partition,
@@ -25,7 +25,7 @@ from .memory import (
 )
 from .metrics import balance, clip_features, cost_ratio, drift, repetition
 from .rollout import RolloutTrace, StepRecord, audit_history_compliance, run_rollout
-from .rope import PositionPlan, apply_rotary, relaxed_positions, window_positions
+from .rope import PositionPlan, relaxed_positions, window_positions
 
 __all__ = [
     "CostReport",
@@ -38,13 +38,11 @@ __all__ = [
     "PositionPlan",
     "RolloutConfig",
     "RolloutTrace",
-    "RotaryParams",
     "ScoredCandidate",
     "StepRecord",
     "StructuredMemory",
     "ToyAttentionStack",
     "append_and_evict",
-    "apply_rotary",
     "attend_chunk",
     "audit_history_compliance",
     "balance",

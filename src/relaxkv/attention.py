@@ -53,9 +53,6 @@ class KVCache:
 
     frames: dict[int, Frame] = field(default_factory=dict)
 
-    def __len__(self) -> int:
-        return len(self.frames)
-
 
 class ToyAttentionStack:
     """Seeded projection matrices plus frame-token embedding. Attention reads

@@ -72,20 +72,10 @@ class MemoryConfig:
 
 
 @dataclass(frozen=True)
-class RotaryParams:
-    base_theta: float = 10000.0
-    dim: int = 16
-
-    def __post_init__(self):
-        if self.dim % 2 != 0 or self.dim < 2:
-            raise ConfigError("rotary dim must be a positive even integer")
-        if not (math.isfinite(self.base_theta) and self.base_theta > 1):
-            raise ConfigError("rotary base must be a finite number > 1")
-
-
-@dataclass(frozen=True)
 class ModelParams:
-    """Dimensions of the deterministic toy attention stack."""
+    """Dimensions of the deterministic toy attention stack, and its rotary
+    base: each head's channel pair (2j, 2j+1) turns by the angle
+    position * rotary_base^(-2j/head_dim)."""
 
     layers: int = 2
     heads: int = 4
@@ -99,15 +89,12 @@ class ModelParams:
                 raise ConfigError(f"{name} must be >= 1")
         if self.head_dim % 2 != 0:
             raise ConfigError("head_dim must be even for rotary rotation")
-        self.rotary  # validates rotary_base before any step runs
+        if not (math.isfinite(self.rotary_base) and self.rotary_base > 1):
+            raise ConfigError("rotary base must be a finite number > 1")
 
     @property
     def d(self) -> int:
         return self.heads * self.head_dim
-
-    @property
-    def rotary(self) -> RotaryParams:
-        return RotaryParams(base_theta=self.rotary_base, dim=self.head_dim)
 
 
 @dataclass(frozen=True)

@@ -50,10 +50,6 @@ class RolloutTrace:
     records: list[StepRecord]
     frame_features: np.ndarray
 
-    @property
-    def total_frames(self) -> int:
-        return self.frame_features.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class MemoryPlan:
@@ -216,7 +212,7 @@ def run_rollout(cfg: RolloutConfig) -> RolloutTrace:
     sink_prototypes = {}  # sink size -> its prototype, as select_memory keeps it
     # a step rotates positions up to its chunk's last, generated - origin + U - 1
     last = int((plan.generated - plan.origin).max()) + U - 1
-    phases = rotation_phases(range(last + 1), cfg.model.rotary)
+    phases = rotation_phases(range(last + 1), cfg.model)
 
     steps = zip(plan.generated.tolist(), plan.first_positions().tolist())
     step = 0

@@ -6,11 +6,12 @@ takes its positions from the memory plan's ``first_positions`` instead; the
 builders state the two schemes frame by frame and are the reference oracles
 for those positions.
 
-The rotation turns each channel pair (2j, 2j+1) by its angle. A rollout
-rotates by one complex multiply: the pair is read as the complex number
-``v[2j] + i·v[2j+1]`` and multiplied by the phase ``cos + i·sin`` of its
-angle, one phase row per frame position (``rotation_phases``, built once per
-run and sliced per step, ``rotate_by_phases``). ``rotation_tables`` and
+The rotation turns each channel pair (2j, 2j+1) of a head by
+position * rotary_base^(-2j/head_dim), both read from ``ModelParams``. A
+rollout rotates by one complex multiply: the pair is read as the complex
+number ``v[2j] + i·v[2j+1]`` and multiplied by the phase ``cos + i·sin`` of
+its angle, one phase row per frame position (``rotation_phases``, built once
+per run and sliced per step, ``rotate_by_phases``). ``rotation_tables`` and
 ``rotate_tokens`` compute the same rotation from real per-token tables, bit
 for bit as the pair formulas; they are the reference the complex form is
 checked against, to a few ulps.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RotaryParams
+from .config import ModelParams
 from .errors import ContractViolationError, InvalidStepError, WindowOverflowError
 from .memory import StructuredMemory
 
@@ -89,30 +90,19 @@ def window_positions(
     )
 
 
-def apply_rotary(vec: np.ndarray, position: int, params: RotaryParams) -> np.ndarray:
-    """Rotate dimension pairs (2j, 2j+1) by position * base^(-2j/dim)."""
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape[-1] != params.dim:
-        raise ContractViolationError(
-            f"vector dim {vec.shape[-1]} != rotary dim {params.dim}"
-        )
-    cos, sin = rotation_tables([position], 1, 1, params)
-    return rotate_tokens(vec[None, None, :], cos, sin)[0, 0]
-
-
-def _angles(positions, params: RotaryParams) -> np.ndarray:
+def _angles(positions, params: ModelParams) -> np.ndarray:
     """position * base^(-2j/dim): one row per position, one column per pair."""
-    half = params.dim // 2
-    inv_freq = params.base_theta ** (-2.0 * np.arange(half) / params.dim)
+    dim = params.head_dim
+    inv_freq = params.rotary_base ** (-2.0 * np.arange(dim // 2) / dim)
     return np.asarray(positions, dtype=np.float64)[:, None] * inv_freq
 
 
 def rotation_tables(
-    positions: list[int], repeats: int, heads: int, params: RotaryParams
+    positions: list[int], repeats: int, heads: int, params: ModelParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """cos and sin of position * base^(-2j/dim), computed once per position and
     repeated into contiguous (len(positions) * repeats, heads, dim // 2) tables."""
-    half = params.dim // 2
+    half = params.head_dim // 2
     theta = _angles(positions, params)
     shape = (len(theta), repeats, heads, half)
     return tuple(
@@ -132,7 +122,7 @@ def rotate_tokens(vecs: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndar
     return out
 
 
-def rotation_phases(positions, params: RotaryParams) -> np.ndarray:
+def rotation_phases(positions, params: ModelParams) -> np.ndarray:
     """``cos + i·sin`` of the angles of ``rotation_tables``, one row per
     position, shaped (len(positions), 1, 1, dim // 2) to broadcast over a
     frame's tokens and heads."""

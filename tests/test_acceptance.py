@@ -19,7 +19,6 @@ from relaxkv import (
     ScoredCandidate,
     StructuredMemory,
     ToyAttentionStack,
-    apply_rotary,
     attend_chunk,
     audit_history_compliance,
     balance,
@@ -33,7 +32,6 @@ from relaxkv import (
     select_history,
 )
 from relaxkv.cli import main
-from relaxkv.config import RotaryParams
 from relaxkv.memory import partition
 
 from conftest import random_unit
@@ -44,6 +42,7 @@ from test_metrics import (
     STRATEGY_DRIFTS,
     STRATEGY_REPETITIONS,
 )
+from test_rope import rotate
 
 
 @contextlib.contextmanager
@@ -184,17 +183,17 @@ def test_attention_oracle():
 
 def test_rotary_properties():
     with criterion("rotary properties"):
-        params = RotaryParams(base_theta=10000.0, dim=16)
+        params = ModelParams(head_dim=16, rotary_base=10000.0)
         rng = np.random.default_rng(99)
         for _ in range(1000):
             v = rng.normal(size=16)
             pos = int(rng.integers(0, 100_001))
             delta = int(rng.integers(0, 1000))
-            rotated = apply_rotary(v, pos, params)
+            rotated = rotate(v, pos, params)
             assert abs(np.linalg.norm(rotated) - np.linalg.norm(v)) < 1e-6
             q = rng.normal(size=16)
-            lhs = apply_rotary(q, pos, params) @ apply_rotary(v, pos + delta, params)
-            rhs = apply_rotary(q, 0, params) @ apply_rotary(v, delta, params)
+            lhs = rotate(q, pos, params) @ rotate(v, pos + delta, params)
+            rhs = rotate(q, 0, params) @ rotate(v, delta, params)
             assert abs(lhs - rhs) < 1e-6
 
 

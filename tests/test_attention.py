@@ -105,7 +105,7 @@ def first_layer_logit_span(chunk_hidden, mem_frames, stack):
 def phases_from(first, frames, params):
     """The phase rows of ``frames`` frames at consecutive positions from
     ``first``, as a rollout step passes them to attend_chunk."""
-    return rotation_phases(range(first, first + frames), params.rotary)
+    return rotation_phases(range(first, first + frames), params)
 
 
 def random_frame(rng, fid, params):
@@ -344,7 +344,7 @@ class TestAppendAndEvict:
             bound = (
                 cfg.n_sink + len(restrict_candidates(p)) + cfg.n_tail + U
             )
-            assert len(cache) <= bound
+            assert len(cache.frames) <= bound
 
 
 def set_based_retention(ids, cfg, generated_count):

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from relaxkv import (
-    RotaryParams,
+    ModelParams,
     StructuredMemory,
-    apply_rotary,
     relaxed_positions,
     window_positions,
 )
 from relaxkv.errors import (
+    ConfigError,
     ContractViolationError,
     InvalidStepError,
     WindowOverflowError,
@@ -93,18 +93,28 @@ class TestWindowPositions:
             window_positions([0, 1], [], 3, 6)
 
 
+def rotate(v, position, params):
+    """One head_dim vector rotated to ``position`` as a rollout rotates it:
+    by ``rotate_by_phases`` with the phase row of ``rotation_phases``."""
+    phases = rotation_phases([position], params)
+    return rotate_by_phases(v[None, None, None], phases)[0, 0, 0]
+
+
 class TestApplyRotary:
-    PARAMS = RotaryParams(base_theta=10000.0, dim=16)
+    """The rotary properties the hybrid position plan relies on, checked on
+    the rotation every rollout runs."""
+
+    PARAMS = ModelParams(head_dim=16, rotary_base=10000.0)
 
     def test_position_zero_identity(self, rng):
         v = rng.normal(size=16)
-        np.testing.assert_allclose(apply_rotary(v, 0, self.PARAMS), v)
+        np.testing.assert_allclose(rotate(v, 0, self.PARAMS), v)
 
     def test_norm_preserved(self, rng):
         for _ in range(200):
             v = rng.normal(size=16)
             pos = int(rng.integers(0, 100_000))
-            out = apply_rotary(v, pos, self.PARAMS)
+            out = rotate(v, pos, self.PARAMS)
             assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(v), abs=1e-6)
 
     def test_relative_offset(self, rng):
@@ -113,25 +123,28 @@ class TestApplyRotary:
             k = rng.normal(size=16)
             pos = int(rng.integers(0, 100_000))
             delta = int(rng.integers(0, 1000))
-            lhs = apply_rotary(q, pos, self.PARAMS) @ apply_rotary(
-                k, pos + delta, self.PARAMS
-            )
-            rhs = apply_rotary(q, 0, self.PARAMS) @ apply_rotary(
-                k, delta, self.PARAMS
-            )
+            lhs = rotate(q, pos, self.PARAMS) @ rotate(k, pos + delta, self.PARAMS)
+            rhs = rotate(q, 0, self.PARAMS) @ rotate(k, delta, self.PARAMS)
             assert lhs == pytest.approx(rhs, abs=1e-6)
 
-    def test_odd_dim_rejected(self):
-        with pytest.raises(Exception):
-            RotaryParams(base_theta=10000.0, dim=7)
+    @pytest.mark.parametrize(
+        "setting",
+        [{"head_dim": 7}, {"rotary_base": 1.0}, {"rotary_base": 0.5},
+         {"rotary_base": float("nan")}, {"rotary_base": float("inf")}],
+        ids=["head_dim=7", "rotary_base=1", "rotary_base=0.5", "rotary_base=nan",
+             "rotary_base=inf"],
+    )
+    def test_invalid_settings_rejected(self, setting):
+        with pytest.raises(ConfigError):
+            ModelParams(**setting)
 
 
 def per_token_rotation(vecs, frame_positions, frame_tokens, params):
     """The rotation as it was computed before the tables: angles recomputed
     for every token from its repeated position, cos/sin broadcast over heads."""
     positions = np.repeat(frame_positions, frame_tokens)[:, None]
-    half = params.dim // 2
-    inv_freq = params.base_theta ** (-2.0 * np.arange(half) / params.dim)
+    half = params.head_dim // 2
+    inv_freq = params.rotary_base ** (-2.0 * np.arange(half) / params.head_dim)
     theta = np.asarray(positions, dtype=np.float64)[..., None] * inv_freq
     cos, sin = np.cos(theta), np.sin(theta)
     even, odd = vecs[..., 0::2], vecs[..., 1::2]
@@ -157,7 +170,7 @@ class TestRotationTables:
     def test_bit_exact_against_per_token_angles(
         self, mem_positions, chunk, start, heads, frame_tokens, layers, half, base, seed
     ):
-        params = RotaryParams(base_theta=base, dim=2 * half)
+        params = ModelParams(head_dim=2 * half, rotary_base=base)
         chunk_positions = list(range(start, start + chunk))
         n_mem = len(mem_positions) * frame_tokens
         n_new = chunk * frame_tokens
@@ -179,13 +192,6 @@ class TestRotationTables:
             per_token_rotation(qk, chunk_positions, frame_tokens, params),
         )
 
-    def test_apply_rotary_bit_exact(self, rng):
-        params = RotaryParams(base_theta=10000.0, dim=16)
-        for position in [0, 1, 7, 99_999]:
-            v = rng.normal(size=16)
-            expected = per_token_rotation(v[None, None, :], [position], 1, params)
-            assert np.array_equal(apply_rotary(v, position, params), expected[0, 0])
-
 
 class TestPhaseRotation:
     """The complex multiply against the real-table rotation it replaced."""
@@ -203,7 +209,7 @@ class TestPhaseRotation:
     def test_agrees_with_rotate_tokens(self, positions, tokens, heads, half, base, seed):
         """Each output pair is within 4 eps of the input pair's |a| + |b| of
         ``rotate_tokens``' bits, and position 0 is the identity, bit for bit."""
-        params = RotaryParams(base_theta=base, dim=2 * half)
+        params = ModelParams(head_dim=2 * half, rotary_base=base)
         frames = len(positions)
         vecs = np.random.default_rng(seed).normal(size=(frames, tokens, heads, 2 * half))
         got = rotate_by_phases(vecs, rotation_phases(positions, params))
@@ -218,7 +224,7 @@ class TestPhaseRotation:
         assert np.array_equal(got[at_zero], vecs[at_zero])
 
     def test_phases_are_the_table_angles(self):
-        params = RotaryParams(base_theta=10000.0, dim=8)
+        params = ModelParams(head_dim=8, rotary_base=10000.0)
         phases = rotation_phases([0, 3, 99_999], params)
         cos, sin = rotation_tables([0, 3, 99_999], 1, 1, params)
         assert phases.shape == (3, 1, 1, 4)
@@ -233,7 +239,7 @@ class TestPhaseRotation:
     def test_table_rows_equal_the_step_table(self, start, a, b):
         """A rollout builds one phase table per run and slices each step's
         rows from it; every row has the bits of a table of that step alone."""
-        params = RotaryParams(base_theta=10000.0, dim=16)
+        params = ModelParams(head_dim=16, rotary_base=10000.0)
         n = 100_000 if start == 0 else 64
         table = rotation_phases(range(start, start + n), params)
         step = rotation_phases(range(start + a, start + b), params)
