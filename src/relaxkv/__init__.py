@@ -14,12 +14,9 @@ from .memory import (
     Partition,
     ScoredCandidate,
     StructuredMemory,
-    frame_prototype,
-    group_prototype,
     partition,
     restrict_candidates,
     sample_pool,
-    score_candidate,
     select_history,
     select_memory,
 )
@@ -50,15 +47,12 @@ __all__ = [
     "cost_ratio",
     "count_step_cost",
     "drift",
-    "frame_prototype",
-    "group_prototype",
     "partition",
     "relaxed_positions",
     "repetition",
     "restrict_candidates",
     "run_rollout",
     "sample_pool",
-    "score_candidate",
     "select_history",
     "select_memory",
     "window_positions",

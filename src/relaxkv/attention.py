@@ -48,7 +48,11 @@ class KVCache:
     """Per-rollout store of the generated frames that a later step may read.
 
     Frames hold per-layer K/V blocks; rotary rotation is applied at attention
-    time because a frame's positional index changes from step to step.
+    time because a frame's positional index changes from step to step. In a
+    rollout each ``Frame`` is a view of one slot of the run's
+    ``(layers, slots, F, d)`` key and value arrays; a slot is reused once its
+    frame is evicted, so a ``Frame`` kept past its eviction may read a later
+    frame's keys.
     """
 
     frames: dict[int, Frame] = field(default_factory=dict)
@@ -75,15 +79,16 @@ class ToyAttentionStack:
         self.token_offsets = (
             np.random.default_rng([seed, 11]).normal(size=(params.frame_tokens, d)) * 0.2
         )
+        # the uint32 words of [seed, 13] that begin every frame's entropy
+        self._entropy_head = [*_uint32_words(seed), 13]
 
     def embed_chunk(self, frame_ids: list[int]) -> np.ndarray:
         """Input latents for the frames about to be generated: (U, F, d). Frame
         fid draws from ``default_rng([seed, 13, fid])``, given as its uint32 words."""
         p = self.params
         out = np.empty((len(frame_ids), p.frame_tokens, p.d))
-        head = [*_uint32_words(self.seed), 13]
         for j, fid in enumerate(frame_ids):
-            entropy = np.array([*head, *_uint32_words(fid)], dtype=np.uint32)
+            entropy = np.array(self._entropy_head + _uint32_words(fid), dtype=np.uint32)
             np.random.default_rng(entropy).standard_normal(out=out[j])
         out *= 0.5
         out += self.token_offsets

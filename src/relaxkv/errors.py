@@ -17,10 +17,6 @@ class DegeneratePrototypeError(RelaxKVError):
     """Key block has a (near-)zero mean; no direction can be extracted."""
 
 
-class EmptyGroupError(RelaxKVError):
-    """Prototype requested for an empty frame group."""
-
-
 class InvalidStepError(RelaxKVError):
     """Position plan requested for a step index too small for the memory layout."""
 

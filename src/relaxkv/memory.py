@@ -12,12 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import MemoryConfig
-from .errors import (
-    CacheMissError,
-    ContractViolationError,
-    DegeneratePrototypeError,
-    EmptyGroupError,
-)
+from .errors import CacheMissError, ContractViolationError, DegeneratePrototypeError
 
 _ZERO_NORM = 1e-12
 
@@ -25,9 +20,11 @@ _ZERO_NORM = 1e-12
 @dataclass(frozen=True)
 class Frame:
     """One generated frame: per-layer key/value blocks of shape (layers, F, d).
-    The rollout keeps its scoring mean key apart, as a row of ``mean_keys``,
-    and checks that a chunk's keys and values are finite before it makes
-    their frames."""
+    In a rollout they are views of one slot of the run's key and value
+    arrays (see ``attention.KVCache``), which a later frame overwrites once
+    this one is evicted. The rollout keeps its scoring mean key apart, as a
+    row of ``mean_keys``, and checks that a chunk's keys and values are
+    finite before it makes their frames."""
 
     id: int
     keys: np.ndarray
@@ -128,22 +125,15 @@ def sample_pool(restricted: range | list[int], pool_size: int) -> list[int]:
     return [restricted[j * (n - 1) // (pool_size - 1)] for j in range(pool_size)]
 
 
-def _pooled_keys(frame: Frame, scoring_layer: int | None) -> np.ndarray:
-    if scoring_layer is None:
-        return frame.keys.reshape(-1, frame.keys.shape[-1])
-    if not 0 <= scoring_layer < frame.keys.shape[0]:
-        raise ContractViolationError(f"scoring layer {scoring_layer} out of range")
-    return frame.keys[scoring_layer]
-
-
 def mean_keys(keys: np.ndarray, scoring_layer: int | None) -> np.ndarray:
     """Mean key of each frame of a chunk's ``(layers, U, F, d)`` keys, one row
-    per frame. Row j equals ``_pooled_keys(frame j).mean(axis=0)`` bit for
-    bit: the same rows are summed in the same order."""
-    if scoring_layer is None:
-        U, d = keys.shape[1], keys.shape[3]
-        return keys.transpose(1, 0, 2, 3).reshape(U, -1, d).mean(axis=1)
-    return keys[scoring_layer].mean(axis=1)
+    per frame: the mean of its key rows over every layer, or over
+    ``scoring_layer``'s, summed layer by layer and token by token, in order.
+    The sum divided by the row count is ``mean``'s arithmetic, bit for bit,
+    without its Python wrapper."""
+    if scoring_layer is not None:
+        keys = keys[scoring_layer : scoring_layer + 1]
+    return np.add.reduce(keys, axis=(0, 2)) / (keys.shape[0] * keys.shape[2])
 
 
 def _normalize(v: np.ndarray) -> np.ndarray:
@@ -153,43 +143,6 @@ def _normalize(v: np.ndarray) -> np.ndarray:
     if (norm < _ZERO_NORM).any():
         raise DegeneratePrototypeError("key block has zero mean; no prototype direction")
     return v / norm[..., None]
-
-
-def frame_prototype(frame: Frame, scoring_layer: int | None = None) -> np.ndarray:
-    """Unit-norm mean key of one frame (pooled over tokens and layers)."""
-    return _normalize(_pooled_keys(frame, scoring_layer).mean(axis=0))
-
-
-def group_prototype(frames: list[Frame], scoring_layer: int | None = None) -> np.ndarray:
-    """Unit-norm mean of the group's frame mean keys. Every frame weighs the
-    same, which is the mean over all their tokens when the frames hold equal
-    token counts. The reference for selection's prototypes, which average the
-    same rows of ``mean_keys``, bit for bit."""
-    if not frames:
-        raise EmptyGroupError("cannot build a prototype from an empty group")
-    rows = np.stack([_pooled_keys(f, scoring_layer).mean(axis=0) for f in frames])
-    return _normalize(rows.mean(axis=0))
-
-
-def score_candidate(
-    frame_id: int,
-    proto_h: np.ndarray,
-    proto_sink: np.ndarray | None,
-    proto_tail: np.ndarray | None,
-    lam: float,
-) -> ScoredCandidate:
-    """Stability/redundancy dot products and their relaxation combination.
-
-    A missing sink or tail group contributes 0 to its term.
-    """
-    stability = float(proto_h @ proto_sink) if proto_sink is not None else 0.0
-    redundancy = float(proto_h @ proto_tail) if proto_tail is not None else 0.0
-    return ScoredCandidate(
-        frame_id=frame_id,
-        stability=stability,
-        redundancy=redundancy,
-        relaxation=stability - lam * redundancy,
-    )
 
 
 def select_history(scored: list[ScoredCandidate], k: int) -> list[int]:
@@ -210,38 +163,51 @@ def _cached(frames: dict[int, Frame], ids) -> list[Frame]:
 
 
 def select_memory(
-    frames: dict[int, Frame], means: np.ndarray, generated_count: int,
+    frames: dict[int, Frame], means: np.ndarray, bounds: tuple[int, int, int],
     cfg: MemoryConfig, pool: list[int], sink_prototypes: dict[int, np.ndarray | None],
+    attended: tuple[list[int], list[int]],
 ) -> tuple[StructuredMemory, list[ScoredCandidate]]:
     """Full selection for one step over its ``pool``, the ``sample_pool`` of
-    its restricted candidates: prototype, score, top-k, assemble with the
-    step's sink and tail. Every prototype is a normalized mean of rows of
-    ``means``, every generated frame's ``mean_keys`` under
-    ``cfg.scoring_layer``: a pool frame's is its own row, the sink's and the
-    tail's the mean of theirs, as ``group_prototype`` computes them. A sink's
-    rows never change once written, so its prototype is computed once per
-    sink size and kept in ``sink_prototypes``, which the caller holds for the
-    run. Selection reads no cached keys, but its chosen frames are attended
-    next and an evicted frame's row still holds a value, so the pool is
-    checked to be cached.
+    its restricted candidates: prototype, score, top-k, and the step's
+    memory, the history between ``attended``'s sink and tail ids.
 
-    Each candidate is scored as ``score_candidate`` scores it, bit for bit:
-    the dot products are taken for the whole pool at once."""
-    sink_stop, tail_start = region_bounds(generated_count, cfg)
-    sink, tail = list(range(sink_stop)), list(range(tail_start, generated_count))
+    ``bounds`` is ``(sink_stop, tail_start, generated_count)`` of the
+    partition the pool comes from, the memory plan's column values (see
+    ``region_bounds``): its sink ``[0, sink_stop)`` and tail ``[tail_start,
+    generated_count)`` give the prototypes the pool is scored against. They
+    are the step's attended sink and tail, except for history_only, which
+    attends only its history once its pool is non-empty. Every prototype is
+    a normalized mean of rows of ``means``, every generated frame's
+    ``mean_keys`` under ``cfg.scoring_layer``: a pool frame's is its own
+    row, the sink's and the tail's the mean of theirs. A sink's rows never
+    change once written, so its prototype is computed once per sink size
+    and kept in ``sink_prototypes``, which the caller holds for the run.
+    Selection reads no cached keys, but its chosen frames are attended next
+    and an evicted frame's row still holds a value, so the pool is checked
+    to be cached.
+
+    Each candidate is scored with the dot products of its unit prototype
+    with the sink's and the tail's, a missing group's term 0, taken for the
+    whole pool at once."""
+    sink_stop, tail_start, generated_count = bounds
+    sink, tail = attended
     if not pool or cfg.n_history == 0:
         return StructuredMemory(sink, [], tail), []
 
     _cached(frames, pool)
-    one_tail = len(tail) == 1
-    protos = _normalize(means[pool + tail if one_tail else pool])
+    n_tail = generated_count - tail_start
+    protos = _normalize(means[pool + [tail_start] if n_tail == 1 else pool])
     if sink_stop not in sink_prototypes:
-        sink_prototypes[sink_stop] = _normalize(means[sink].mean(axis=0)) if sink else None
+        sink_prototypes[sink_stop] = (
+            _normalize(np.add.reduce(means[:sink_stop]) / sink_stop) if sink_stop else None
+        )
     proto_sink = sink_prototypes[sink_stop]
-    if one_tail:
+    if n_tail == 1:
         proto_tail = protos[-1]
+    elif n_tail:
+        proto_tail = _normalize(np.add.reduce(means[tail_start:generated_count]) / n_tail)
     else:
-        proto_tail = _normalize(means[tail].mean(axis=0)) if tail else None
+        proto_tail = None
 
     candidates = protos[: len(pool)]
     zeros = [0.0] * len(pool)

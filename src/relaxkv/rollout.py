@@ -68,6 +68,9 @@ class MemoryPlan:
     ``cfg`` is the run's memory config, widened for history_only. When
     ``scored``, the history is select_memory's choice from the pool under
     ``cfg``, and ``pool[:n_history]`` stands in for it, of the same size.
+    The pool is scored against the sink and tail of the partition it comes
+    from, ``region_bounds(generated, cfg)``: the step's own, except for
+    history_only once its pool is non-empty, which attends its history alone.
     """
 
     cfg: MemoryConfig
@@ -81,7 +84,8 @@ class MemoryPlan:
 
     @functools.cached_property
     def pools(self) -> list[list[int]]:
-        """Every step's pool, built on first use, once per plan."""
+        """Every step's pool, built on first use, once per plan. Only a
+        rollout builds them; ``sizes`` needs none."""
         bounds = zip(self.pool_lo.tolist(), self.pool_hi.tolist())
         return [sample_pool(range(lo, hi), self.cfg.pool_size) for lo, hi in bounds]
 
@@ -197,51 +201,90 @@ def eviction_schedule(plan: MemoryPlan) -> list[list[int]]:
     return [ids.tolist() for ids in np.split(order, bounds)]
 
 
+def frame_slots(expired: list[list[int]], chunk: int) -> tuple[np.ndarray, int]:
+    """Each frame's slot in a run's key and value arrays, and the slot count,
+    from the run's eviction schedule (step s generates the frames
+    ``[s * chunk, (s + 1) * chunk)``). A step's chunk takes slots its
+    predecessors' expired frames freed, and a new slot only when none is
+    free, so the count is the schedule's residency peak: a chunk joins the
+    cache before its step's expired frames leave it."""
+    slots: list[int] = []
+    free: list[int] = []
+    count = 0
+    for ids in expired:
+        for _ in range(chunk):
+            if free:
+                slots.append(free.pop())
+            else:
+                slots.append(count)
+                count += 1
+        free.extend(slots[fid] for fid in ids)
+    return np.array(slots), count
+
+
 def run_rollout(cfg: RolloutConfig) -> RolloutTrace:
-    """Generate cfg.total_frames frames chunk by chunk under cfg.memory.policy."""
-    mcfg = cfg.memory
+    """Generate cfg.total_frames frames chunk by chunk under cfg.memory.policy.
+    Each frame's keys and values are written once, into its slot
+    (``frame_slots``), and its cached ``Frame`` is a view of the slot."""
+    mcfg, model = cfg.memory, cfg.model
     U = mcfg.chunk_size
-    stack = ToyAttentionStack(cfg.model, cfg.seed)
+    stack = ToyAttentionStack(model, cfg.seed)
     cache = KVCache()
     plan = memory_plan(mcfg, np.arange(0, cfg.total_frames, U))
     expired = eviction_schedule(plan)
+    slots, count = frame_slots(expired, U)
+    # one allocation for both, which the heap keeps from run to run
+    slot_keys, slot_values = np.empty((2, model.layers, count, model.frame_tokens, model.d))
     records: list[StepRecord] = []
-    features = np.empty((cfg.total_frames, cfg.model.d))
+    features = np.empty((cfg.total_frames, model.d))
     # every frame's scoring mean key, the rows select_memory reads
-    means = np.empty((cfg.total_frames, cfg.model.d)) if plan.scored else None
+    means = np.empty((cfg.total_frames, model.d)) if plan.scored else None
     sink_prototypes = {}  # sink size -> its prototype, as select_memory keeps it
     # a step rotates positions up to its chunk's last, generated - origin + U - 1
     last = int((plan.generated - plan.origin).max()) + U - 1
-    phases = rotation_phases(range(last + 1), cfg.model)
+    phases = rotation_phases(range(last + 1), model)
+    # the partition a scored step's pool comes from; history_only attends
+    # its pool alone once the pool is non-empty
+    scoring = region_bounds(plan.generated, plan.cfg)
+    n_history = plan.cfg.n_history
 
-    steps = zip(plan.generated.tolist(), plan.first_positions().tolist())
+    columns = (
+        plan.generated, plan.sink_stop, plan.tail_start, *scoring, plan.first_positions()
+    )
+    steps = zip(*(col.tolist() for col in columns), plan.pools)
     step = 0
     try:
-        for step, (i, first) in enumerate(steps):
+        for step, (i, sink_stop, tail_start, score_sink, score_tail, first, pool) in enumerate(
+            steps
+        ):
             chunk_ids = list(range(i, i + U))
-            mem = plan.memory(step)
-            scored = []
+            sink, tail = list(range(sink_stop)), list(range(tail_start, i))
             if plan.scored:
-                pool = plan.pools[step]
-                chosen, scored = select_memory(
-                    cache.frames, means, i, plan.cfg, pool, sink_prototypes
+                mem, scored = select_memory(
+                    cache.frames, means, (score_sink, score_tail, i), plan.cfg, pool,
+                    sink_prototypes, (sink, tail),
                 )
-                mem = replace(mem, history_ids=chosen.history_ids)
+            else:
+                mem, scored = StructuredMemory(sink, pool[:n_history], tail), []
 
             hidden = stack.embed_chunk(chunk_ids)
             step_phases = phases[first : first + len(mem) + U]
             out, new_keys, new_values, cost = attend_chunk(hidden, mem, step_phases, cache, stack)
             if not (np.isfinite(new_keys).all() and np.isfinite(new_values).all()):
                 raise ContractViolationError("chunk keys or values contain non-finite entries")
+            chunk_slots = slots[i : i + U]
+            slot_keys[:, chunk_slots] = new_keys
+            slot_values[:, chunk_slots] = new_values
             new_frames = [
-                Frame(id=fid, keys=new_keys[:, j], values=new_values[:, j])
-                for j, fid in enumerate(chunk_ids)
+                Frame(id=fid, keys=slot_keys[:, slot], values=slot_values[:, slot])
+                for fid, slot in zip(chunk_ids, chunk_slots.tolist())
             ]
             append_and_evict(cache, new_frames, expired[step])
             if plan.scored:
                 means[i : i + U] = mean_keys(new_keys, plan.cfg.scoring_layer)
 
-            features[i : i + U] = out.mean(axis=1)
+            # each frame's token mean, as ``mean`` computes it
+            features[i : i + U] = np.add.reduce(out, axis=1) / model.frame_tokens
             records.append(
                 StepRecord(
                     step=step,

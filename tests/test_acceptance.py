@@ -28,13 +28,13 @@ from relaxkv import (
     restrict_candidates,
     run_rollout,
     sample_pool,
-    score_candidate,
     select_history,
 )
 from relaxkv.cli import main
 from relaxkv.memory import partition
 
 from conftest import random_unit
+from oracles import score_candidate
 from test_attention import naive_reference, phases_from, random_frame
 from test_memory import scan_topk_oracle
 from test_metrics import (

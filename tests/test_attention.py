@@ -29,10 +29,10 @@ from relaxkv import (
 )
 from relaxkv.cli import profile_rows
 from relaxkv.errors import CacheMissError
-from relaxkv.memory import frame_prototype, group_prototype, score_candidate
 from relaxkv.rope import rotation_phases
 from relaxkv.rollout import eviction_schedule, memory_plan, structured_step_memory
 
+from oracles import frame_prototype, group_prototype, score_candidate
 from test_memory import list_regions
 
 SMALL = ModelParams(layers=2, heads=2, head_dim=4, frame_tokens=3)
@@ -460,6 +460,39 @@ class TestRetentionProperty:
         assert audit_history_compliance(trace) == []
 
 
+class TestSlotReuseProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(rollout_configs())
+    @example(tiny_config(Policy.RELAXED))
+    @example(tiny_config(Policy.HISTORY_ONLY, n_sink=3, n_tail=2))
+    @example(tiny_config(Policy.DENSE_WINDOW, chunk_size=2, window_size=9))
+    @example(tiny_config(Policy.RELAXED, fixed_history_position=4, n_history=2))
+    def test_attended_frames_hold_their_chunk_outputs(self, cfg):
+        """A frame's slot is reused once the frame is evicted, and every step
+        still attends, bit for bit, each memory frame's keys and values as
+        the chunk that generated it returned them."""
+        U = cfg.memory.chunk_size
+        produced = {}  # frame id -> copies of its keys and values
+        steps = []
+
+        def attending(hidden, mem, phases, cache, stack):
+            for fid in mem.all_ids:
+                keys, values = produced[fid]
+                assert cache.frames[fid].keys.tobytes() == keys.tobytes()
+                assert cache.frames[fid].values.tobytes() == values.tobytes()
+            result = attend_chunk(hidden, mem, phases, cache, stack)
+            i = len(steps) * U
+            produced.update(
+                (i + j, (result[1][:, j].copy(), result[2][:, j].copy())) for j in range(U)
+            )
+            steps.append(len(mem))
+            return result
+
+        with mock.patch.object(rollout_module, "attend_chunk", attending):
+            trace = run_rollout(cfg)
+        assert steps == [len(rec.memory) for rec in trace.records]
+
+
 class TestProfileProperty:
     @settings(max_examples=150, deadline=None)
     @given(rollout_configs())
@@ -543,7 +576,10 @@ class TestScoredEqualsRecomputedProperty:
         recomputed with frame_prototype, group_prototype and score_candidate
         from every frame generated before it selected: the sink prototype
         kept across steps is the one recomputed every step. The frames are
-        logged as they reach the cache, which evicts those no later step attends."""
+        logged as copies as they reach the cache: it evicts those no later
+        step attends, and a later frame's keys overwrite an evicted frame's
+        slot. history_only scores against sink and tail frames it does not
+        attend, so they are evicted early."""
         mem = replace(cfg.memory, policy=policy, fixed_history_position=None,
                       scoring_layer=layer)
         cfg = replace(cfg, memory=mem)
@@ -551,13 +587,16 @@ class TestScoredEqualsRecomputedProperty:
         expected = {}  # generated count -> recomputed scores
 
         def appending(cache, new_frames, expired):
-            generated.update((frame.id, frame) for frame in new_frames)
+            generated.update(
+                (f.id, Frame(f.id, f.keys.copy(), f.values.copy())) for f in new_frames
+            )
             return append_and_evict(cache, new_frames, expired)
 
-        def selecting(frames, means, generated_count, scfg, pool, sink_prototypes):
+        def selecting(frames, means, bounds, scfg, pool, sink_prototypes, attended):
             result = memory_module.select_memory(
-                frames, means, generated_count, scfg, pool, sink_prototypes
+                frames, means, bounds, scfg, pool, sink_prototypes, attended
             )
+            generated_count = bounds[2]
             p = partition(generated_count, scfg)
             sink = [generated[f] for f in p.sink_ids]
             tail = [generated[f] for f in p.tail_ids]

@@ -6,24 +6,24 @@ from relaxkv import (
     Frame,
     MemoryConfig,
     ScoredCandidate,
-    frame_prototype,
-    group_prototype,
     partition,
     restrict_candidates,
     sample_pool,
-    score_candidate,
     select_history,
     select_memory,
 )
-from relaxkv.errors import (
-    CacheMissError,
-    DegeneratePrototypeError,
-    EmptyGroupError,
-)
-from relaxkv.memory import _normalize, _pooled_keys, mean_keys
+from relaxkv.errors import CacheMissError, DegeneratePrototypeError
+from relaxkv.memory import _normalize, mean_keys, region_bounds
 from relaxkv.rollout import structured_step_memory
 
 from conftest import make_frame, random_unit
+from oracles import (
+    EmptyGroupError,
+    _pooled_keys,
+    frame_prototype,
+    group_prototype,
+    score_candidate,
+)
 
 DEFAULTS = MemoryConfig()
 
@@ -275,6 +275,16 @@ def mean_rows(frames):
     return means
 
 
+def select(frames, means, generated_count, cfg, pool):
+    """select_memory for the step after ``generated_count`` frames that
+    attends the sink and tail its pool is scored against, as a relaxed step
+    does: the partition's bounds, as the memory plan's columns hold them."""
+    sink_stop, tail_start = (int(b) for b in region_bounds(generated_count, cfg))
+    attended = (list(range(sink_stop)), list(range(tail_start, generated_count)))
+    bounds = (sink_stop, tail_start, generated_count)
+    return select_memory(frames, means, bounds, cfg, pool, {}, attended)
+
+
 class TestSelectMemoryAssembly:
     def test_assembly(self):
         # at i=10 the defaults score the pool 6, 7, 8; only 7 leans to the sink
@@ -283,7 +293,7 @@ class TestSelectMemoryAssembly:
             fid: make_frame(fid, [to_sink if fid in (0, 1, 7) else to_tail])
             for fid in range(10)
         }
-        mem, scored = select_memory(frames, mean_rows(frames), 10, DEFAULTS, [6, 7, 8], {})
+        mem, scored = select(frames, mean_rows(frames), 10, DEFAULTS, [6, 7, 8])
         assert mem.sink_ids == [0, 1]
         assert mem.history_ids == [7]
         assert mem.tail_ids == [9]
@@ -291,7 +301,7 @@ class TestSelectMemoryAssembly:
         assert [s.frame_id for s in scored] == [6, 7, 8]
 
     def test_history_free(self):
-        mem, scored = select_memory({}, np.empty((0, 4)), 10, DEFAULTS, [], {})
+        mem, scored = select({}, np.empty((0, 4)), 10, DEFAULTS, [])
         assert mem.all_ids == [0, 1, 9]
         assert scored == []
 
@@ -314,7 +324,7 @@ def test_select_memory_names_a_scored_frame_missing_from_cache(rng):
     means = mean_rows(frames)
     del frames[20]
     with pytest.raises(CacheMissError, match="frame 20 missing from cache"):
-        select_memory(frames, means, 30, DEFAULTS, [16, 20, 24, 28], {})
+        select(frames, means, 30, DEFAULTS, [16, 20, 24, 28])
 
 
 @pytest.mark.parametrize(
@@ -339,7 +349,7 @@ def test_select_memory_scores_without_the_sink_and_tail_cached(rng, cfg):
     ]
     evicted = {fid: f for fid, f in frames.items() if fid not in [*p.sink_ids, *p.tail_ids]}
     for cached in (frames, evicted):
-        mem, scored = select_memory(cached, means, 30, cfg, pool, {})
+        mem, scored = select(cached, means, 30, cfg, pool)
         assert scored == expected
         assert (mem.sink_ids, mem.tail_ids) == (list(p.sink_ids), list(p.tail_ids))
 
@@ -355,9 +365,9 @@ def test_zero_mean_frame_raises_only_in_the_pool(rng, zero, raises):
     }
     if raises:
         with pytest.raises(DegeneratePrototypeError):
-            select_memory(frames, mean_rows(frames), 10, DEFAULTS, [6, 7, 8], {})
+            select(frames, mean_rows(frames), 10, DEFAULTS, [6, 7, 8])
     else:
-        _, scored = select_memory(frames, mean_rows(frames), 10, DEFAULTS, [6, 7, 8], {})
+        _, scored = select(frames, mean_rows(frames), 10, DEFAULTS, [6, 7, 8])
         assert [s.frame_id for s in scored] == [6, 7, 8]
 
 

@@ -20,7 +20,9 @@ from relaxkv import (
     window_positions,
 )
 from relaxkv.cli import profile_columns, profile_rows
-from relaxkv.rollout import eviction_schedule, memory_plan, structured_step_memory
+from relaxkv.rollout import (
+    eviction_schedule, frame_slots, memory_plan, structured_step_memory,
+)
 
 from test_attention import TINY, bounded_config, rollout_configs
 
@@ -183,6 +185,36 @@ class TestResidency:
                 for flag in (False, True):
                     cfg = MemoryConfig(policy=policy, bounded_cache=flag)
                     assert peak_residency(cfg, frames) == peak
+                plan = memory_plan(cfg, np.arange(0, frames, cfg.chunk_size))
+                assert frame_slots(eviction_schedule(plan), cfg.chunk_size)[1] == peak
+
+    @settings(max_examples=100, deadline=None)
+    @given(rollout_configs())
+    @example(long_config(Policy.RELAXED))
+    @example(long_config(Policy.HISTORY_ONLY))
+    @example(long_config(Policy.DENSE_WINDOW, chunk_size=2, window_size=9))
+    def test_a_run_makes_one_slot_per_frame_at_its_peak(self, cfg):
+        """A run's key and value arrays hold as many slots as its cache holds
+        frames at their peak: a freed slot is reused before a new one is
+        made, and no two frames resident at once share one."""
+        original, runs = frame_slots, []
+
+        def slotting(expired, chunk):
+            runs.append(original(expired, chunk))
+            return runs[-1]
+
+        with mock.patch.object(rollout_module, "frame_slots", slotting):
+            run_rollout(cfg)
+        (slots, count), = runs
+        assert count == peak_residency(cfg.memory, cfg.total_frames)
+        U = cfg.memory.chunk_size
+        expired = eviction_schedule(memory_plan(cfg.memory, np.arange(0, cfg.total_frames, U)))
+        resident = set()
+        for step, ids in enumerate(expired):
+            resident |= set(range(step * U, (step + 1) * U))
+            held = [slots[fid] for fid in resident]
+            assert len(set(held)) == len(held) and max(held) < count
+            resident -= set(ids)
 
 
 class TestOnePoolPerScoredStep:
@@ -193,8 +225,8 @@ class TestOnePoolPerScoredStep:
     def test_rollout_builds_each_pool_once(self, cfg):
         """A rollout samples each step's pool once, for the step's memory, the
         eviction schedule and the selection alike. It builds no partition and
-        no position plan: select_memory reads its sink and tail from
-        region_bounds, and positions come from the memory plan."""
+        no position plan: select_memory's sink and tail bounds and the
+        positions come from the memory plan's columns."""
         calls = dict.fromkeys(
             ["sample_pool", "partition", "select_memory", "relaxed_positions",
              "window_positions"], 0,

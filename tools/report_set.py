@@ -1,4 +1,4 @@
-"""Write the fixed set of 278 reports used to check byte identity between
+"""Write the fixed set of 280 reports used to check byte identity between
 two versions of relaxkv.
 
     PYTHONPATH=<tree>/src python tools/report_set.py OUT [--check REF]
@@ -23,7 +23,9 @@ same tolerance, every other cell, ints included, exactly.
 The set is 8 policies x 10 variants x {rollout json, profile json,
 profile csv}, 8 policies x {profile csv, profile json} at 12,000 frames (the
 tables the `profile-long` benchmark workload times; no rollouts that long) and
-at 2**31 tokens a frame over 30 frames (score ops beyond int64), plus an
+at 2**31 tokens a frame over 30 frames (score ops beyond int64), rollouts of
+{relaxed, history_only} at 1,500 frames (the `relaxed-rollout` workload's
+shape, whose cache reuses the most slots), plus an
 8-policy x n_sink {0,2} sweep, an 8-policy compare and a {relaxed, full} x
 total_frames {15, 60} sweep (at 15 frames one clip, so drift and repetition
 are empty cells), each in csv and json, all with seed 1. Every call goes through
@@ -87,6 +89,10 @@ PROFILE_VARIANTS = {
 }
 
 
+# the policies written as rollouts of 1,500 frames too, into frames1500/
+LONG_ROLLOUT_POLICIES = ["relaxed", "history_only"]
+
+
 def _sets(overrides: list[str]) -> list[str]:
     return [arg for item in overrides for arg in ("--set", item)]
 
@@ -102,6 +108,9 @@ def calls(out: Path):
                 yield ["rollout", *common]
             for fmt in ("csv", "json"):
                 yield ["profile", *common, "--format", fmt]
+    for policy in LONG_ROLLOUT_POLICIES:
+        yield ["rollout", "--seed", "1", "--out", str(out / "frames1500" / policy),
+               *_sets([f"memory.policy={policy}", "rollout.total_frames=1500"])]
     for fmt in ("csv", "json"):
         yield ["sweep", "--seed", "1", "--out", str(out / "sweep"), "--format", fmt,
                "--grid", "memory.policy=" + ",".join(POLICIES), "--grid", "memory.n_sink=0,2"]
