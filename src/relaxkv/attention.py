@@ -27,6 +27,7 @@ from .memory import (  # noqa: F401  (perfbench/spans.py wraps them by name here
 )
 from .rope import rotate_by_phases
 from .rope import rotate_tokens  # noqa: F401  (perfbench/spans.py wraps it by name here)
+from .seeding import pcg64_state, seed_words
 
 # OpenBLAS computes a gemm of m·n·k at most this on one thread (the
 # GEMM_MULTITHREAD_THRESHOLD rule of its interface/gemm.c), so a product made
@@ -34,6 +35,8 @@ from .rope import rotate_tokens  # noqa: F401  (perfbench/spans.py wraps it by n
 _ONE_THREAD_GEMM = 262_144
 # e^-700 is a normal double (the least is about e^-708)
 _SHIFT_RANGE = 700.0
+# frame ids whose seeds are hashed at once; a power of two below 2**32
+_SEED_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -49,10 +52,10 @@ class KVCache:
 
     Frames hold per-layer K/V blocks; rotary rotation is applied at attention
     time because a frame's positional index changes from step to step. In a
-    rollout each ``Frame`` is a view of one slot of the run's
-    ``(layers, slots, F, d)`` key and value arrays; a slot is reused once its
-    frame is evicted, so a ``Frame`` kept past its eviction may read a later
-    frame's keys.
+    rollout each ``Frame`` is a view of one slot of the run's single
+    ``(2, layers, slots, F, d)`` array, keys at index 0 and values at 1
+    (``rollout.run_rollout``); a slot is reused once its frame is evicted,
+    so a ``Frame`` kept past its eviction may read a later frame's keys.
     """
 
     frames: dict[int, Frame] = field(default_factory=dict)
@@ -81,18 +84,38 @@ class ToyAttentionStack:
         )
         # the uint32 words of [seed, 13] that begin every frame's entropy
         self._entropy_head = [*_uint32_words(seed), 13]
+        self._bits = np.random.PCG64(0)
+        self._normal = np.random.Generator(self._bits).standard_normal
+        # the last block of frame ids hashed, and its frames' SeedSequence words
+        self._block, self._block_words = None, []
 
     def embed_chunk(self, frame_ids: list[int]) -> np.ndarray:
         """Input latents for the frames about to be generated: (U, F, d). Frame
-        fid draws from ``default_rng([seed, 13, fid])``, given as its uint32 words."""
+        fid draws what ``default_rng([seed, 13, fid])`` draws: one PCG64 is set
+        to that generator's state, from the frame's SeedSequence words, which
+        are hashed for a block of ``_SEED_BLOCK`` frame ids at a time. A
+        rollout's ids count up, so only the last block is kept."""
         p = self.params
         out = np.empty((len(frame_ids), p.frame_tokens, p.d))
         for j, fid in enumerate(frame_ids):
-            entropy = np.array(self._entropy_head + _uint32_words(fid), dtype=np.uint32)
-            np.random.default_rng(entropy).standard_normal(out=out[j])
+            block, k = divmod(fid, _SEED_BLOCK)
+            if block != self._block:
+                self._block, self._block_words = block, self._block_seed_words(block)
+            self._bits.state = pcg64_state(self._block_words[k])
+            self._normal(out=out[j])
         out *= 0.5
         out += self.token_offsets
         return out
+
+    def _block_seed_words(self, block: int) -> list[list[int]]:
+        """The SeedSequence words of frame ids ``block * _SEED_BLOCK`` on. A
+        block lies within one multiple of 2**32, so its ids have the same
+        uint32 words but the lowest, which counts up from the block's."""
+        head, first = self._entropy_head, _uint32_words(block * _SEED_BLOCK)
+        entropy = np.empty((_SEED_BLOCK, len(head) + len(first)), dtype=np.uint32)
+        entropy[:] = head + first
+        entropy[:, len(head)] += np.arange(_SEED_BLOCK, dtype=np.uint32)
+        return seed_words(entropy).tolist()
 
 
 def _uint32_words(n: int) -> list[int]:

@@ -253,19 +253,9 @@ def trace_report(trace: RolloutTrace, settings: dict) -> dict:
 
 # orjson writes repr's shortest digits but spells some floats otherwise
 # ("1e16", "1e-7", "0.00001" for "1e+16", "1e-07", "1e-05"), each time with an
-# exponent or a "0.0000", searched for apart: one alternation is far slower
-_EXPONENT = re.compile(rb"e[-\d]")
+# exponent or a "0.0000"; two literal searches, one alternation is far slower
+_RESPELL = (re.compile(rb"e[-\d]"), re.compile(rb"0\.0000"))
 _NUMBER = re.compile(rb"-?[\d.]+(?:e-?\d+)?")
-
-
-def _respell_marks(out: bytes):
-    """Where each exponent or "0.0000" in ``out`` starts. ``bytes.find`` scans
-    for "0.0000": a regex stops at every "0" of every number."""
-    yield from (match.start() for match in _EXPONENT.finditer(out))
-    at = out.find(b"0.0000")
-    while at != -1:
-        yield at
-        at = out.find(b"0.0000", at + 1)
 
 
 def _json_bytes(obj) -> bytes:
@@ -285,17 +275,18 @@ def _json_bytes(obj) -> bytes:
     if out is None or not out.isascii() or b"\x7f" in out or orjson.loads(out) != obj:
         return json.dumps(obj, indent=2).encode()
     tokens = {}  # start -> stop of each token to respell
-    for mark in _respell_marks(out):
-        # a number ends its line, before a "," if one follows; the span of a
-        # mark inside a string holds the string's closing quote
-        start = out.rfind(b" ", 0, mark) + 1
-        stop = out.find(b"\n", mark)
-        if stop == -1:
-            stop = len(out)
-        if out.endswith(b",", 0, stop):
-            stop -= 1
-        if _NUMBER.fullmatch(out, start, stop):
-            tokens[start] = stop
+    for marker in _RESPELL:
+        for match in marker.finditer(out):
+            # a number ends its line, before a "," if one follows; the span of
+            # a match inside a string holds the string's closing quote
+            start = out.rfind(b" ", 0, match.start()) + 1
+            stop = out.find(b"\n", match.start())
+            if stop == -1:
+                stop = len(out)
+            if out.endswith(b",", 0, stop):
+                stop -= 1
+            if _NUMBER.fullmatch(out, start, stop):
+                tokens[start] = stop
     parts, done = [], 0
     for start, stop in sorted(tokens.items()):
         parts += [out[done:start], repr(float(out[start:stop])).encode()]

@@ -67,6 +67,15 @@ class StructuredMemory:
     history_ids: list[int] = field(default_factory=list)
     tail_ids: list[int] = field(default_factory=list)
 
+    @classmethod
+    def of_regions(
+        cls, sink_stop: int, history: list[int], tail_start: int, generated_count: int
+    ) -> StructuredMemory:
+        """The memory of sink ``[0, sink_stop)``, ``history`` and tail
+        ``[tail_start, generated_count)``: a step's, from its memory plan's
+        column values (see ``rollout.MemoryPlan``)."""
+        return cls(list(range(sink_stop)), history, list(range(tail_start, generated_count)))
+
     @property
     def all_ids(self) -> list[int]:
         return [*self.sink_ids, *self.history_ids, *self.tail_ids]
@@ -140,7 +149,7 @@ def _normalize(v: np.ndarray) -> np.ndarray:
     """``v`` over its norm, row by row for a matrix; a row whose norm is
     below the bound has no direction."""
     norm = np.sqrt(np.vecdot(v, v))
-    if (norm < _ZERO_NORM).any():
+    if any(n < _ZERO_NORM for n in norm.reshape(-1).tolist()):
         raise DegeneratePrototypeError("key block has zero mean; no prototype direction")
     return v / norm[..., None]
 
@@ -163,36 +172,37 @@ def _cached(frames: dict[int, Frame], ids) -> list[Frame]:
 
 
 def select_memory(
-    frames: dict[int, Frame], means: np.ndarray, bounds: tuple[int, int, int],
+    frames: dict[int, Frame], means: np.ndarray, scoring: tuple[int, int, int],
     cfg: MemoryConfig, pool: list[int], sink_prototypes: dict[int, np.ndarray | None],
-    attended: tuple[list[int], list[int]],
+    attended: tuple[int, int],
 ) -> tuple[StructuredMemory, list[ScoredCandidate]]:
     """Full selection for one step over its ``pool``, the ``sample_pool`` of
     its restricted candidates: prototype, score, top-k, and the step's
-    memory, the history between ``attended``'s sink and tail ids.
+    memory, ``StructuredMemory.of_regions`` of its history between the
+    attended sink ``[0, attended[0])`` and tail ``[attended[1],
+    generated_count)``.
 
-    ``bounds`` is ``(sink_stop, tail_start, generated_count)`` of the
-    partition the pool comes from, the memory plan's column values (see
-    ``region_bounds``): its sink ``[0, sink_stop)`` and tail ``[tail_start,
-    generated_count)`` give the prototypes the pool is scored against. They
-    are the step's attended sink and tail, except for history_only, which
-    attends only its history once its pool is non-empty. Every prototype is
-    a normalized mean of rows of ``means``, every generated frame's
-    ``mean_keys`` under ``cfg.scoring_layer``: a pool frame's is its own
-    row, the sink's and the tail's the mean of theirs. A sink's rows never
-    change once written, so its prototype is computed once per sink size
-    and kept in ``sink_prototypes``, which the caller holds for the run.
-    Selection reads no cached keys, but its chosen frames are attended next
-    and an evicted frame's row still holds a value, so the pool is checked
-    to be cached.
+    ``scoring`` is ``(sink_stop, tail_start, generated_count)`` of the
+    partition the pool comes from, and ``attended`` the step's own
+    ``(sink_stop, tail_start)``: the memory plan's column values (see
+    ``rollout.MemoryPlan``). The scoring partition's sink and tail give the
+    prototypes the pool is scored against. They are the attended sink and
+    tail, except for history_only, which attends only its history once its
+    pool is non-empty. Every prototype is a normalized mean of rows of
+    ``means``, every generated frame's ``mean_keys`` under
+    ``cfg.scoring_layer``: a pool frame's is its own row, the sink's and
+    the tail's the mean of theirs. A sink's rows never change once written,
+    so its prototype is computed once per sink size and kept in
+    ``sink_prototypes``, which the caller holds for the run. Selection reads
+    no cached keys, but its chosen frames are attended next and an evicted
+    frame's row still holds a value, so the pool is checked to be cached.
 
     Each candidate is scored with the dot products of its unit prototype
     with the sink's and the tail's, a missing group's term 0, taken for the
     whole pool at once."""
-    sink_stop, tail_start, generated_count = bounds
-    sink, tail = attended
+    sink_stop, tail_start, generated_count = scoring
     if not pool or cfg.n_history == 0:
-        return StructuredMemory(sink, [], tail), []
+        return StructuredMemory.of_regions(attended[0], [], attended[1], generated_count), []
 
     _cached(frames, pool)
     n_tail = generated_count - tail_start
@@ -217,4 +227,5 @@ def select_memory(
         ScoredCandidate(fid, s, r, s - cfg.lam * r)
         for fid, s, r in zip(pool, stability, redundancy)
     ]
-    return StructuredMemory(sink, select_history(scored, cfg.n_history), tail), scored
+    history = select_history(scored, cfg.n_history)
+    return StructuredMemory.of_regions(attended[0], history, attended[1], generated_count), scored

@@ -65,22 +65,30 @@ class MemoryPlan:
       memory in ``all_ids`` order and then the chunk take consecutive
       positions from ``first_positions()``.
 
-    ``cfg`` is the run's memory config, widened for history_only. When
-    ``scored``, the history is select_memory's choice from the pool under
-    ``cfg``, and ``pool[:n_history]`` stands in for it, of the same size.
-    The pool is scored against the sink and tail of the partition it comes
-    from, ``region_bounds(generated, cfg)``: the step's own, except for
-    history_only once its pool is non-empty, which attends its history alone.
+    ``cfg`` is the run's memory config, widened for history_only. A plan is
+    ``scored`` when it has the ``score_sink`` and ``score_tail`` columns:
+    then the history is select_memory's choice from the pool under ``cfg``,
+    and ``pool[:n_history]`` stands in for it, of the same size. The pool is
+    scored against the sink ``range(score_sink)`` and the tail
+    ``range(score_tail, generated)`` of the partition it comes from,
+    ``region_bounds(generated, cfg)``. They are the step's own sink and
+    tail, except for history_only once its pool is non-empty, which attends
+    its history alone.
     """
 
     cfg: MemoryConfig
-    scored: bool
     generated: np.ndarray
     sink_stop: np.ndarray
     pool_lo: np.ndarray
     pool_hi: np.ndarray
     tail_start: np.ndarray
     origin: np.ndarray
+    score_sink: np.ndarray | None = None
+    score_tail: np.ndarray | None = None
+
+    @property
+    def scored(self) -> bool:
+        return self.score_sink is not None
 
     @functools.cached_property
     def pools(self) -> list[list[int]]:
@@ -95,8 +103,7 @@ class MemoryPlan:
             int(col[step]) for col in (self.generated, self.sink_stop, self.tail_start)
         )
         history = self.pools[step][: self.cfg.n_history]
-        sink, tail = list(range(sink_stop)), list(range(tail_start, i))
-        return StructuredMemory(sink, history, tail)
+        return StructuredMemory.of_regions(sink_stop, history, tail_start, i)
 
     def sizes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every step's (sink, history, tail) sizes, without building a pool:
@@ -128,7 +135,7 @@ def memory_plan(cfg: MemoryConfig, generated) -> MemoryPlan:
     zero = np.zeros_like(i)
     budget = cfg.memory_budget
     policy = cfg.policy
-    scored = False
+    scoring = (None, None)  # the scored plans' score_sink and score_tail
     origin = zero
     if policy is Policy.NONE:
         sink, lo, hi, tail = zero, zero, zero, i
@@ -149,14 +156,14 @@ def memory_plan(cfg: MemoryConfig, generated) -> MemoryPlan:
         lo, hi, tail = zero, zero, i - np.minimum(i - sink, cfg.n_tail + cfg.n_history)
     elif policy is Policy.HISTORY_ONLY:
         cfg = replace(cfg, n_history=budget, pool_size=max(cfg.pool_size, budget))
-        sink, tail = region_bounds(i, cfg)
-        lo, hi, scored = second_half_start(sink, tail), tail, True
+        sink, tail = scoring = region_bounds(i, cfg)
+        lo, hi = second_half_start(sink, tail), tail
         warmup = lo == hi  # an empty pool: the partition's roles, no history
         sink, tail = np.where(warmup, sink, 0), np.where(warmup, tail, i)
     elif policy is Policy.RELAXED:
         sink, tail = region_bounds(i, cfg)
         if cfg.fixed_history_position is None:
-            lo, hi, scored = second_half_start(sink, tail), tail, True
+            lo, hi, scoring = second_half_start(sink, tail), tail, (sink, tail)
         else:
             # clamped to the most recent candidate when fewer exist
             last = np.maximum(0, tail - sink - 1)
@@ -164,7 +171,7 @@ def memory_plan(cfg: MemoryConfig, generated) -> MemoryPlan:
             hi = np.minimum(lo + cfg.n_history, tail)
     else:
         raise ConfigError(f"unknown policy {policy}")
-    return MemoryPlan(cfg, scored, i, sink, lo, hi, tail, origin)
+    return MemoryPlan(cfg, i, sink, lo, hi, tail, origin, *scoring)
 
 
 def structured_step_memory(
@@ -233,7 +240,7 @@ def run_rollout(cfg: RolloutConfig) -> RolloutTrace:
     plan = memory_plan(mcfg, np.arange(0, cfg.total_frames, U))
     expired = eviction_schedule(plan)
     slots, count = frame_slots(expired, U)
-    # one allocation for both, which the heap keeps from run to run
+    # keys at index 0 and values at 1, in one allocation
     slot_keys, slot_values = np.empty((2, model.layers, count, model.frame_tokens, model.d))
     records: list[StepRecord] = []
     features = np.empty((cfg.total_frames, model.d))
@@ -243,31 +250,27 @@ def run_rollout(cfg: RolloutConfig) -> RolloutTrace:
     # a step rotates positions up to its chunk's last, generated - origin + U - 1
     last = int((plan.generated - plan.origin).max()) + U - 1
     phases = rotation_phases(range(last + 1), model)
-    # the partition a scored step's pool comes from; history_only attends
-    # its pool alone once the pool is non-empty
-    scoring = region_bounds(plan.generated, plan.cfg)
+    columns = (plan.generated, plan.sink_stop, plan.tail_start, plan.first_positions())
+    generated, sink_stops, tail_starts, firsts = (col.tolist() for col in columns)
+    if plan.scored:
+        score_sinks, score_tails = plan.score_sink.tolist(), plan.score_tail.tolist()
     n_history = plan.cfg.n_history
-
-    columns = (
-        plan.generated, plan.sink_stop, plan.tail_start, *scoring, plan.first_positions()
-    )
-    steps = zip(*(col.tolist() for col in columns), plan.pools)
     step = 0
     try:
-        for step, (i, sink_stop, tail_start, score_sink, score_tail, first, pool) in enumerate(
-            steps
-        ):
-            chunk_ids = list(range(i, i + U))
-            sink, tail = list(range(sink_stop)), list(range(tail_start, i))
+        for step, pool in enumerate(plan.pools):
+            i, sink_stop, tail_start = generated[step], sink_stops[step], tail_starts[step]
             if plan.scored:
                 mem, scored = select_memory(
-                    cache.frames, means, (score_sink, score_tail, i), plan.cfg, pool,
-                    sink_prototypes, (sink, tail),
+                    cache.frames, means, (score_sinks[step], score_tails[step], i),
+                    plan.cfg, pool, sink_prototypes, (sink_stop, tail_start),
                 )
             else:
-                mem, scored = StructuredMemory(sink, pool[:n_history], tail), []
+                mem = StructuredMemory.of_regions(sink_stop, pool[:n_history], tail_start, i)
+                scored = []
 
+            chunk_ids = list(range(i, i + U))
             hidden = stack.embed_chunk(chunk_ids)
+            first = firsts[step]
             step_phases = phases[first : first + len(mem) + U]
             out, new_keys, new_values, cost = attend_chunk(hidden, mem, step_phases, cache, stack)
             if not (np.isfinite(new_keys).all() and np.isfinite(new_values).all()):

@@ -118,10 +118,12 @@ class TestEmbedChunk:
     def test_bits_equal_the_normal_draw(self, seed):
         """standard_normal draws the bits that normal(0, 1) drew, frame by frame,
         and the seed's and frame id's uint32 words are those SeedSequence makes
-        of ``[seed, 13, fid]``, past one word each."""
+        of ``[seed, 13, fid]``, past one word each. The ids cross the
+        bounds of the blocks whose seeds are hashed together, both ways."""
         params = ModelParams(layers=1, heads=2, head_dim=8, frame_tokens=5)
         stack = ToyAttentionStack(params, seed)
-        fids = [0, 1, 2, 13, 1499, 12345, 2**32 - 1, 2**32, 2**32 + 7, 2**64 + 1]
+        fids = [0, 1, 2, 13, 1023, 1024, 1023, 1499, 2047, 12345, 2**32 - 1, 2**32,
+                2**32 + 7, 2**32 + 1023, 2**32 + 1024, 2**64 + 1, 1025]
         shape = (params.frame_tokens, params.d)
         expected = np.stack([
             np.random.default_rng([seed, 13, fid]).normal(size=shape) * 0.5
@@ -592,11 +594,11 @@ class TestScoredEqualsRecomputedProperty:
             )
             return append_and_evict(cache, new_frames, expired)
 
-        def selecting(frames, means, bounds, scfg, pool, sink_prototypes, attended):
+        def selecting(frames, means, scoring, scfg, pool, sink_prototypes, attended):
             result = memory_module.select_memory(
-                frames, means, bounds, scfg, pool, sink_prototypes, attended
+                frames, means, scoring, scfg, pool, sink_prototypes, attended
             )
-            generated_count = bounds[2]
+            generated_count = scoring[2]
             p = partition(generated_count, scfg)
             sink = [generated[f] for f in p.sink_ids]
             tail = [generated[f] for f in p.tail_ids]

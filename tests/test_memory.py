@@ -280,9 +280,8 @@ def select(frames, means, generated_count, cfg, pool):
     attends the sink and tail its pool is scored against, as a relaxed step
     does: the partition's bounds, as the memory plan's columns hold them."""
     sink_stop, tail_start = (int(b) for b in region_bounds(generated_count, cfg))
-    attended = (list(range(sink_stop)), list(range(tail_start, generated_count)))
-    bounds = (sink_stop, tail_start, generated_count)
-    return select_memory(frames, means, bounds, cfg, pool, {}, attended)
+    scoring = (sink_stop, tail_start, generated_count)
+    return select_memory(frames, means, scoring, cfg, pool, {}, (sink_stop, tail_start))
 
 
 class TestSelectMemoryAssembly:

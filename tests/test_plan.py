@@ -121,8 +121,9 @@ class TestMemoryPlan:
     @example(long_config(Policy.HISTORY_ONLY, bounded_cache=True))
     @example(long_config(Policy.DENSE_WINDOW, chunk_size=2, window_size=9))
     def test_plan_equals_the_per_step_rule(self, cfg):
-        """Every step's memory, scoring config and pool, the eviction
-        schedule and the profile rows equal the per-step rule's."""
+        """Every step's memory, scoring config, pool and scoring partition,
+        the eviction schedule and the profile rows equal the per-step
+        rule's."""
         mcfg = cfg.memory
         plan = memory_plan(mcfg, np.arange(0, cfg.total_frames, mcfg.chunk_size))
         for step, i in enumerate(range(0, cfg.total_frames, mcfg.chunk_size)):
@@ -131,7 +132,12 @@ class TestMemoryPlan:
             assert (plan.cfg if plan.scored else None) == scoring
             assert structured_step_memory(mcfg, i) == (mem, scoring)
             if scoring is not None:
-                assert plan.pools[step] == oracle_step_pool(scoring, i)[1]
+                (sink, _, tail), pool = oracle_step_pool(scoring, i)
+                assert plan.pools[step] == pool
+                score_bounds = (plan.score_sink[step], plan.score_tail[step])
+                assert score_bounds == (sink.stop, tail.start)
+        if not plan.scored:
+            assert (plan.score_sink, plan.score_tail) == (None, None)
         assert eviction_schedule(plan) == oracle_eviction_schedule(mcfg, cfg.total_frames)
         header, rows = profile_rows(cfg)
         assert header == [
