@@ -5,7 +5,8 @@ overridden on the command line with --set section.key=value. Reports embed
 the fully resolved config and a schema version, and are byte-identical for
 identical (config, seed), at any OpenBLAS thread count. A JSON report holds
 exactly the bytes of ``json.dumps(report, indent=2)``, written by one orjson
-call that is read back to check it, or by json where orjson would differ. A
+call that is read back to check it, one entry or one block of a list's items
+at a time, or by json where orjson would differ. A
 CSV table holds exactly the bytes of ``csv.writer``; the profile table, all
 non-negative ints, is written from the memory plan's columns by one numpy
 digit kernel. The argument parser is built on the first ``main`` call and
@@ -253,9 +254,66 @@ def trace_report(trace: RolloutTrace, settings: dict) -> dict:
 
 # orjson writes repr's shortest digits but spells some floats otherwise
 # ("1e16", "1e-7", "0.00001" for "1e+16", "1e-07", "1e-05"), each time with an
-# exponent or a "0.0000"; two literal searches, one alternation is far slower
-_RESPELL = (re.compile(rb"e[-\d]"), re.compile(rb"0\.0000"))
+# exponent or a "0.0000"; the literal is found by bytes.find, about twice as
+# fast as a regex, which tries a match at every "0"
+_EXPONENT = re.compile(rb"e[-\d]")
 _NUMBER = re.compile(rb"-?[\d.]+(?:e-?\d+)?")
+# a list entry's text longer than this is read back in runs of whole items,
+# each this long or up to one item longer, so that no more is held parsed
+_BLOCK = 1 << 16
+# the start of an item of a top-level entry's list, indented by 4 spaces after
+# the previous item's ","; a deeper line is indented by more
+_ITEM = re.compile(rb",\n    (?! )")
+
+
+def _items_read_back(out: bytes, start: int, stop: int, items: list) -> bool:
+    """Whether the list ``out[start:stop]``, the value of a top-level entry,
+    reads back equal to ``items``. Each run of items ends at the first item
+    separator ``_BLOCK`` or more bytes past its start, never at a deeper
+    line, and is parsed and compared with the same run of ``items`` before
+    the next is parsed."""
+    if not (out.startswith(b"[\n    ", start) and out.endswith(b"\n  ]", start, stop)):
+        return False
+    text = memoryview(out)
+    at, end, done = start + 6, stop - 4, 0
+    while at < end:
+        cut = _ITEM.search(out, min(at + _BLOCK, end), end)
+        run = orjson.loads(b"[%b]" % text[at : cut.start() if cut else end])
+        if run != items[done : done + len(run)]:
+            return False
+        done += len(run)
+        at = cut.end() if cut else end
+    return done == len(items)
+
+
+def _reads_back(out: bytes, obj) -> bool:
+    """Whether ``orjson.loads(out) == obj``, for orjson's indented ``out`` of
+    ``obj``. A dict is read back one entry at a time: each key must be
+    orjson's spelling of it, and each value, a slice of ``out``, must read
+    back equal, a list longer than ``_BLOCK`` bytes one run of items at a
+    time. So at most one entry, or one run, is held parsed."""
+    if not isinstance(obj, dict) or not obj:
+        return orjson.loads(out) == obj
+    if not (out.startswith(b"{\n  ") and out.endswith(b"\n}")):
+        return False
+    text = memoryview(out)
+    at, last = 4, len(obj) - 1
+    for n, (key, value) in enumerate(obj.items()):
+        head = orjson.dumps(key) + b": "
+        if not out.startswith(head, at):
+            return False
+        start = at + len(head)
+        # the next entry's key is the next line indented by 2 spaces
+        stop = len(out) - 2 if n == last else out.find(b',\n  "', start)
+        if stop == -1:
+            return False
+        if isinstance(value, list) and stop - start > _BLOCK:
+            if not _items_read_back(out, start, stop, value):
+                return False
+        elif orjson.loads(text[start:stop]) != value:
+            return False
+        at = stop + 4
+    return True
 
 
 def _json_bytes(obj) -> bytes:
@@ -263,35 +321,41 @@ def _json_bytes(obj) -> bytes:
     orjson writes ``obj`` as json does.
 
     orjson's output is kept only if it is ASCII without DEL, which json
-    escapes, and reads back equal to ``obj``. NaN and the infinities (written
-    as null), tuples, dataclasses, datetimes and plain Enums fail the read-back
-    and go to json, as do the ints beyond 64 bits, non-str keys and float
-    subclasses that orjson rejects. Of the kept output, only the float tokens
-    orjson spells otherwise than ``repr`` are respelled with ``repr``."""
+    escapes, and reads back equal to ``obj`` (``_reads_back``). NaN and the
+    infinities (written as null), tuples, dataclasses, datetimes and plain
+    Enums fail the read-back and go to json, as do the ints beyond 64 bits,
+    non-str keys and float subclasses that orjson rejects. Of the kept output,
+    only the float tokens orjson spells otherwise than ``repr`` are respelled
+    with ``repr``."""
     try:
         out = orjson.dumps(obj, option=orjson.OPT_INDENT_2)
-    except TypeError:
-        out = None
-    if out is None or not out.isascii() or b"\x7f" in out or orjson.loads(out) != obj:
+        kept = out.isascii() and b"\x7f" not in out and _reads_back(out, obj)
+    except (TypeError, orjson.JSONDecodeError):  # unencodable, or a slice not a value
+        kept = False
+    if not kept:
         return json.dumps(obj, indent=2).encode()
+    marks = [match.start() for match in _EXPONENT.finditer(out)]
+    at = out.find(b"0.0000")
+    while at != -1:
+        marks.append(at)
+        at = out.find(b"0.0000", at + 6)
     tokens = {}  # start -> stop of each token to respell
-    for marker in _RESPELL:
-        for match in marker.finditer(out):
-            # a number ends its line, before a "," if one follows; the span of
-            # a match inside a string holds the string's closing quote
-            start = out.rfind(b" ", 0, match.start()) + 1
-            stop = out.find(b"\n", match.start())
-            if stop == -1:
-                stop = len(out)
-            if out.endswith(b",", 0, stop):
-                stop -= 1
-            if _NUMBER.fullmatch(out, start, stop):
-                tokens[start] = stop
-    parts, done = [], 0
+    for mark in marks:
+        # a number ends its line, before a "," if one follows; the span of a
+        # mark inside a string holds the string's closing quote
+        start = out.rfind(b" ", 0, mark) + 1
+        stop = out.find(b"\n", mark)
+        if stop == -1:
+            stop = len(out)
+        if out.endswith(b",", 0, stop):
+            stop -= 1
+        if _NUMBER.fullmatch(out, start, stop):
+            tokens[start] = stop
+    parts, done, text = [], 0, memoryview(out)  # the join copies out once
     for start, stop in sorted(tokens.items()):
-        parts += [out[done:start], repr(float(out[start:stop])).encode()]
+        parts += [text[done:start], repr(float(out[start:stop])).encode()]
         done = stop
-    parts.append(out[done:])
+    parts.append(text[done:])
     return b"".join(parts)
 
 
@@ -408,8 +472,8 @@ def cmd_rollout(args) -> int:
     settings = load_settings(args.config, args.set, args.seed)
     cfg = build_config(settings)
     out = _out_dir(args.out)
-    trace = run_rollout(cfg)
-    _save(out, "rollout.json", _write_json, trace_report(trace, settings))
+    # the trace is freed once its report is built, before the report is written
+    _save(out, "rollout.json", _write_json, trace_report(run_rollout(cfg), settings))
     return 0
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -80,6 +81,29 @@ class TestRollout:
         report = json.loads((tmp_path / "rollout.json").read_text())
         assert report["config"]["memory"]["n_sink"] == 3
         assert report["config"]["rollout"]["total_frames"] == 30
+
+    def test_trace_is_freed_before_the_report_is_written(self, tmp_path, monkeypatch):
+        """Only the report, not the trace it was built from, is alive while the
+        report is serialised."""
+        import relaxkv.cli as cli_mod
+
+        traces, alive = [], []
+        run, write = cli_mod.run_rollout, cli_mod._write_json
+
+        def tracked(cfg):
+            trace = run(cfg)
+            traces.append(weakref.ref(trace))
+            return trace
+
+        def writing(path, payload):
+            alive.append(traces[0]() is not None)
+            write(path, payload)
+
+        monkeypatch.setattr(cli_mod, "run_rollout", tracked)
+        monkeypatch.setattr(cli_mod, "_write_json", writing)
+        assert main(["rollout", "--seed", "1", "--out", str(tmp_path)]) == 0
+        assert alive == [False]
+        assert (tmp_path / "rollout.json").exists()
 
     def test_runtime_error_exit_code(self, tmp_path, monkeypatch):
         import relaxkv.cli as cli_mod

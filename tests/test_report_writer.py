@@ -9,12 +9,14 @@ import enum
 import io
 import json
 import math
+import random
 import tempfile
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -196,7 +198,8 @@ class TestWriterPath:
          ({1: 0}, True), ([Float(1.5)], True), ([(1,)], True), ([[]], False),
          (["é"], True), (["\x7f"], True), ({"\x7f": 0}, True), (["~\x00\n"], False),
          ({"a": [1e16, 1e-05, -0.0, 5e-324, "1e16", "x 1e-7", None, True]}, False),
-         ({"b 1e16": 0.00001, "c": "y 0.00001"}, False)],
+         ({"b 1e16": 0.00001, "c": "y 0.00001"}, False),
+         ({'a": b': 1, 'q\\"': [2], "\\": {'\\": ': 3}}, False)],
         ids=repr,
     )
     def test_falls_back_for_each_kind(self, obj, fallback):
@@ -204,6 +207,110 @@ class TestWriterPath:
             text = cli._json_bytes(obj).decode()
         assert text + "\n" == dumps_indented(obj)
         assert fell_back == ([obj] if fallback else [])
+
+
+@contextlib.contextmanager
+def parsed():
+    """Every value the writer parses with ``orjson.loads`` while the context
+    is open, in call order."""
+    seen, loads = [], orjson.loads
+
+    def parsing(text):
+        seen.append(loads(text))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orjson, "loads", parsing)
+        yield seen
+
+
+def large_payload() -> dict:
+    """A report-like dict with two list entries of several blocks each: rows
+    of floats, some of them respelled, and records of ints. Some keys hold
+    what json and orjson escape alike: ``": ``, ``\\"`` and ``\\``."""
+    rng = random.Random(0)
+    edges = [1e16, 1e-05, 5e-324, -0.0]
+    rows = [[rng.random() for _ in range(7)] + [edges[i % 4]] for i in range(1000)]
+    records = [{"frame_id": i, 'a": b': rng.randrange(2**64), "ids": [i, i + 1]}
+               for i in range(2000)]
+    return {"schema_version": 1, 'q\\"': {"\\": 0}, "rows": rows, '\\ ": ': records,
+            "note": "0.00001 1e16"}
+
+
+LARGE = large_payload()
+LIST_KEYS = ["rows", '\\ ": ']
+
+
+def run_starts(obj, key) -> list[int]:
+    """The index of the first item of each run of ``obj[key]`` the writer
+    parses, from the second run on."""
+    with parsed() as seen:
+        cli._json_bytes(obj)
+    items, starts = obj[key], [0]
+    for value in seen:
+        at = starts[-1]
+        if isinstance(value, list) and value and value == items[at : at + len(value)]:
+            starts.append(at + len(value))
+    assert starts[-1] == len(items)
+    return starts[1:-1]
+
+
+def planted(items: list, index: int, kind) -> list:
+    """``items`` with item ``index`` replaced by a copy that holds ``kind``:
+    a row's second value, or a record's second id, or, for ``tuple``, the row
+    or the record's ids as a tuple."""
+    item = items[index]
+    if isinstance(item, list):
+        item = tuple(item) if kind is tuple else [item[0], kind, *item[2:]]
+    else:
+        ids = item["ids"]
+        item = {**item, "ids": tuple(ids) if kind is tuple else [ids[0], kind]}
+    return [*items[:index], item, *items[index + 1 :]]
+
+
+class TestBlockedReadBack:
+    """A dict is read back one entry at a time, and a long list entry one run
+    of whole items at a time, with the same bytes and the same fallbacks as a
+    read-back of the whole output."""
+
+    def test_large_payload_is_read_back_in_bounded_runs(self):
+        with fallbacks() as fell_back, parsed() as seen:
+            text = cli._json_bytes(LARGE)
+        assert text.decode() + "\n" == dumps_indented(LARGE)
+        assert fell_back == []
+        for key in LIST_KEYS:
+            assert len(run_starts(LARGE, key)) >= 2
+        # nothing parsed at once is much larger than a block
+        assert max(len(orjson.dumps(value)) for value in seen) < 2 * cli._BLOCK
+
+    @pytest.mark.parametrize("key", LIST_KEYS, ids=["rows", "records"])
+    @pytest.mark.parametrize("place", ["first-block", "middle-block", "last-item", "at-cut"])
+    @pytest.mark.parametrize(
+        "kind", [float("nan"), float("inf"), tuple, Float(0.25), 2**64],
+        ids=["nan", "inf", "tuple", "float-subclass", "2**64"],
+    )
+    def test_planted_value_falls_back(self, key, place, kind):
+        items, starts = LARGE[key], run_starts(LARGE, key)
+        index = {"first-block": 1, "middle-block": (starts[0] + starts[1]) // 2,
+                 "last-item": len(items) - 1, "at-cut": starts[0]}[place]
+        obj = {**LARGE, key: planted(items, index, kind)}
+        with fallbacks() as fell_back:
+            text = cli._json_bytes(obj)
+        assert text.decode() + "\n" == dumps_indented(obj)
+        assert needs_json(obj)
+        assert fell_back == [obj]
+
+    @settings(max_examples=200, deadline=None)
+    # below 2 bytes the text of an empty list, "[]", would be cut
+    @given(obj=st.dictionaries(texts, trees | nested_matrices, min_size=1, max_size=4),
+           block=st.integers(2, 256))
+    def test_small_blocks_match_json_dumps(self, obj, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_BLOCK", block)
+            with fallbacks() as fell_back:
+                text = cli._json_bytes(obj)
+        assert text.decode() + "\n" == dumps_indented(obj)
+        assert len(fell_back) == needs_json(obj)
 
 
 @pytest.fixture
@@ -243,6 +350,15 @@ class TestReportBytes:
     def test_profile_report(self, tmp_path, payloads, policy):
         args = ["profile", "--seed", "5", "--format", "json", "--out", str(tmp_path),
                 "--set", f"memory.policy={policy}"]
+        with fallbacks() as fell_back:
+            assert main(args) == 0
+        assert fell_back == []
+        assert_reports_match(payloads)
+
+    def test_long_relaxed_rollout_report(self, tmp_path, payloads):
+        """Its steps and frame features are read back in many runs."""
+        args = ["rollout", "--seed", "5", "--out", str(tmp_path),
+                "--set", "memory.policy=relaxed", "--set", "rollout.total_frames=1500"]
         with fallbacks() as fell_back:
             assert main(args) == 0
         assert fell_back == []
