@@ -11,6 +11,8 @@ row's past ``_SHIFT_RANGE``) and divides by the row sums after the value
 product, whose ones column makes them. Both attention products run in blocks
 of query rows small enough that OpenBLAS computes each on one thread
 (``_matmul``), so a report's bytes do not depend on the BLAS thread count.
+A frame that a rollout caches only as its layer inputs is rebuilt as K/V
+with those bits (``rebuild_frames``).
 """
 
 from __future__ import annotations
@@ -48,22 +50,33 @@ class CostReport:
 
 @dataclass
 class KVCache:
-    """Per-rollout store of the generated frames that a later step may read.
+    """Per-rollout store of the generated frames that a later step may read,
+    in two tiers by the role in which the memory plan may read a frame.
 
-    Frames hold per-layer K/V blocks; rotary rotation is applied at attention
-    time because a frame's positional index changes from step to step. In a
-    rollout each ``Frame`` is a view of one slot of the run's single
+    ``frames`` holds the K/V ``Frame`` of every id the step attends: the
+    frames a later step reads as sink or tail and, for one step, the
+    history frames rebuilt from their inputs.
+    Rotary rotation is applied at attention time because a frame's
+    positional index changes from step to step. In a rollout each cached
+    sink or tail ``Frame`` is a view of one slot of the run's single
     ``(2, layers, slots, F, d)`` array, keys at index 0 and values at 1
     (``rollout.run_rollout``); a slot is reused once its frame is evicted,
     so a ``Frame`` kept past its eviction may read a later frame's keys.
+
+    ``inputs`` maps each frame a later step may pick as history to its slot
+    of the run's ``(layers, slots, F, d)`` array of attention inputs, half
+    the bytes of its K/V, from which ``rebuild_frames`` makes its ``Frame``
+    on the step that attends it.
     """
 
     frames: dict[int, Frame] = field(default_factory=dict)
+    inputs: dict[int, int] = field(default_factory=dict)
 
 
 class ToyAttentionStack:
     """Seeded projection matrices plus frame-token embedding. Attention reads
-    a layer's wq, wk and wv as ``qkv``, ``[wq / sqrt(head_dim) | wk | wv]``."""
+    a layer's wq, wk and wv as ``qkv[layer]``, ``[wq / sqrt(head_dim) | wk
+    | wv]``, all layers in one ``(layers, d, 3d)`` array."""
 
     def __init__(self, params: ModelParams, seed: int):
         self.params = params
@@ -77,7 +90,9 @@ class ToyAttentionStack:
                 tuple(rng.normal(size=(d, d)) * scale for _ in range(4))
             )
         q_scale = 1.0 / np.sqrt(params.head_dim)
-        self.qkv = [np.hstack([wq * q_scale, wk, wv]) for wq, wk, wv, _ in self.weights]
+        self.qkv = np.stack(
+            [np.hstack([wq * q_scale, wk, wv]) for wq, wk, wv, _ in self.weights]
+        )
         # Fixed per-token spatial offset channel, shared by every frame.
         self.token_offsets = (
             np.random.default_rng([seed, 11]).normal(size=(params.frame_tokens, d)) * 0.2
@@ -129,14 +144,17 @@ def attend_chunk(
     phases: np.ndarray,
     cache: KVCache,
     stack: ToyAttentionStack,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, CostReport]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, CostReport, np.ndarray]:
     """Run the chunk through the stack attending over the structured memory.
 
     The memory, in ``all_ids`` order, and then the chunk are rotated by the
     rows of ``phases``, one per frame: ``rotation_phases`` of consecutive
     positions (see ``rollout.MemoryPlan.first_positions``). Returns output
     latents (U, F, d), the chunk's per-layer keys and values (layers, U, F, d)
-    for cache insertion, and the exact cost accounting.
+    for cache insertion, the exact cost accounting, and the chunk's input to
+    each layer (layers, U, F, d): its embedding, then the residual entering
+    each later layer, from which ``rebuild_frames`` remakes its keys and
+    values.
     Intra-chunk attention is bidirectional; memory keys are shared by every
     chunk token.
     """
@@ -166,8 +184,10 @@ def attend_chunk(
     h = chunk_hidden.reshape(n_new, d)
     new_keys = np.empty((p.layers, U, F, d))
     new_values = np.empty((p.layers, U, F, d))
+    inputs = np.empty((p.layers, U, F, d))
     ops = 0
     for layer, (w_qkv, (*_, wo)) in enumerate(zip(stack.qkv, stack.weights)):
+        inputs[layer] = h.reshape(U, F, d)
         qkv = h @ w_qkv
         new_keys[layer] = qkv[:, d : 2 * d].reshape(U, F, d)
         new_values[layer] = qkv[:, 2 * d :].reshape(U, F, d)
@@ -194,7 +214,35 @@ def attend_chunk(
     report = CostReport(
         attended_frames=attended, key_tokens=attended * F, score_ops=ops
     )
-    return h.reshape(U, F, d), new_keys, new_values, report
+    return h.reshape(U, F, d), new_keys, new_values, report, inputs
+
+
+def rebuild_frames(
+    ids: list[int], inputs: np.ndarray, chunk: int, stack: ToyAttentionStack
+) -> list[Frame]:
+    """The ``Frame``s of ``ids`` from ``inputs``, their input to each layer
+    (layers, len(ids), F, d), with the bits of the keys and values
+    ``attend_chunk`` made for them in chunks of ``chunk`` frames.
+
+    Every layer is one product by its whole ``qkv``, the one attend_chunk
+    makes: a product by only its wk and wv columns starts their column
+    blocks elsewhere and, for some widths, changes bits. OpenBLAS computes
+    a product of one row as a gemv, with other bits than a gemm, whose
+    entries do not depend on its row count. So where a chunk was one row,
+    each frame is its own product, and otherwise a single row is multiplied
+    next to a copy of itself."""
+    L, n, F, d = inputs.shape
+    if chunk * F == 1:  # the chunk's product was a gemv of its row
+        kv = inputs @ stack.qkv[:, None]
+    else:
+        rows = inputs.reshape(L, n * F, d)
+        if n * F == 1:
+            rows = np.concatenate((rows, rows), axis=1)
+        kv = (rows @ stack.qkv)[:, : n * F].reshape(L, n, F, 3 * d)
+    return [
+        Frame(id=fid, keys=kv[:, j, :, d : 2 * d], values=kv[:, j, :, 2 * d :])
+        for j, fid in enumerate(ids)
+    ]
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

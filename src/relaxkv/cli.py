@@ -4,9 +4,10 @@ Config files are INI-style with one section per module; every key can be
 overridden on the command line with --set section.key=value. Reports embed
 the fully resolved config and a schema version, and are byte-identical for
 identical (config, seed), at any OpenBLAS thread count. A JSON report holds
-exactly the bytes of ``json.dumps(report, indent=2)``, written by one orjson
-call that is read back to check it, one entry or one block of a list's items
-at a time, or by json where orjson would differ. A
+exactly the bytes of ``json.dumps(report, indent=2)`` (numpy arrays as their
+``tolist()``), written by one orjson call that is read back to check it, one
+entry or one block of a list's items at a time (an array entry is checked by
+dtype, layout and finiteness instead), or by json where orjson would differ. A
 CSV table holds exactly the bytes of ``csv.writer``; the profile table, all
 non-negative ints, is written from the memory plan's columns by one numpy
 digit kernel. The argument parser is built on the first ``main`` call and
@@ -248,7 +249,7 @@ def trace_report(trace: RolloutTrace, settings: dict) -> dict:
         "config": resolved_config_dict(settings),
         "steps": steps,
         "metrics": run_summary(trace, settings["metrics"]["clip_frames"]),
-        "frame_features": trace.frame_features.tolist(),
+        "frame_features": trace.frame_features,
     }
 
 
@@ -286,59 +287,96 @@ def _items_read_back(out: bytes, start: int, stop: int, items: list) -> bool:
     return done == len(items)
 
 
-def _reads_back(out: bytes, obj) -> bool:
-    """Whether ``orjson.loads(out) == obj``, for orjson's indented ``out`` of
-    ``obj``. A dict is read back one entry at a time: each key must be
-    orjson's spelling of it, and each value, a slice of ``out``, must read
-    back equal, a list longer than ``_BLOCK`` bytes one run of items at a
-    time. So at most one entry, or one run, is held parsed."""
+def _spelled_as_repr(values: np.ndarray) -> bool:
+    """Whether orjson spells each of ``values`` as ``repr`` does: none is
+    nonzero with an absolute value below 1e-4 or of 1e16 and more."""
+    size = np.abs(values)
+    return not ((size >= 1e16) | ((size < 1e-4) & (size != 0))).any()
+
+
+def _reads_back(out: bytes, obj) -> list[tuple[int, int]] | None:
+    """The spans of orjson's indented ``out`` of ``obj`` that hold no float
+    to respell, if ``orjson.loads(out) == obj``, and None if not.
+
+    A dict is read back one entry at a time: each key must be orjson's
+    spelling of it, and each value, a slice of ``out``, must read back
+    equal, a list longer than ``_BLOCK`` bytes one run of items at a time.
+    So at most one entry, or one run, is held parsed. A value that is a
+    numpy array is not parsed: orjson writes a float64 C-contiguous array
+    of finite values as json writes its ``tolist()``, and its span holds no
+    float to respell when ``_spelled_as_repr``. Any other array fails."""
     if not isinstance(obj, dict) or not obj:
-        return orjson.loads(out) == obj
+        return [] if orjson.loads(out) == obj else None
     if not (out.startswith(b"{\n  ") and out.endswith(b"\n}")):
-        return False
-    text = memoryview(out)
+        return None
+    text, skipped = memoryview(out), []
     at, last = 4, len(obj) - 1
     for n, (key, value) in enumerate(obj.items()):
         head = orjson.dumps(key) + b": "
         if not out.startswith(head, at):
-            return False
+            return None
         start = at + len(head)
         # the next entry's key is the next line indented by 2 spaces
         stop = len(out) - 2 if n == last else out.find(b',\n  "', start)
         if stop == -1:
-            return False
-        if isinstance(value, list) and stop - start > _BLOCK:
+            return None
+        if isinstance(value, np.ndarray):
+            if not (
+                value.dtype == np.float64
+                and value.flags.c_contiguous
+                and np.isfinite(value).all()
+            ):
+                return None
+            if _spelled_as_repr(value):
+                skipped.append((start, stop))
+        elif isinstance(value, list) and stop - start > _BLOCK:
             if not _items_read_back(out, start, stop, value):
-                return False
+                return None
         elif orjson.loads(text[start:stop]) != value:
-            return False
+            return None
         at = stop + 4
-    return True
+    return skipped
 
 
-def _json_bytes(obj) -> bytes:
-    """The bytes of ``json.dumps(obj, indent=2)``, from one orjson call when
-    orjson writes ``obj`` as json does.
+def _listed(value):
+    """A numpy array or scalar as json writes it: its ``tolist()``."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_parts(obj) -> list:
+    """The bytes of ``json.dumps(obj, indent=2)``, numpy arrays and scalars
+    written as their ``tolist()``, in parts: views of one orjson call's
+    output when orjson writes ``obj`` as json does, and the respelled
+    floats between them.
 
     orjson's output is kept only if it is ASCII without DEL, which json
     escapes, and reads back equal to ``obj`` (``_reads_back``). NaN and the
     infinities (written as null), tuples, dataclasses, datetimes and plain
     Enums fail the read-back and go to json, as do the ints beyond 64 bits,
-    non-str keys and float subclasses that orjson rejects. Of the kept output,
-    only the float tokens orjson spells otherwise than ``repr`` are respelled
-    with ``repr``."""
+    non-str keys and float subclasses that orjson rejects, and arrays that
+    are not float64, C-contiguous and finite as a dict's values, or that
+    compare ambiguously elsewhere. Of the kept output, only the float
+    tokens orjson spells otherwise than ``repr`` are respelled with
+    ``repr``, found outside the spans that ``_reads_back`` clears."""
     try:
-        out = orjson.dumps(obj, option=orjson.OPT_INDENT_2)
-        kept = out.isascii() and b"\x7f" not in out and _reads_back(out, obj)
-    except (TypeError, orjson.JSONDecodeError):  # unencodable, or a slice not a value
-        kept = False
-    if not kept:
-        return json.dumps(obj, indent=2).encode()
-    marks = [match.start() for match in _EXPONENT.finditer(out)]
-    at = out.find(b"0.0000")
-    while at != -1:
-        marks.append(at)
-        at = out.find(b"0.0000", at + 6)
+        out = orjson.dumps(obj, option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY)
+        skipped = _reads_back(out, obj) if out.isascii() and b"\x7f" not in out else None
+    # unencodable, or a slice not a value (JSONDecodeError is a ValueError),
+    # or an array's ambiguous truth value
+    except (TypeError, ValueError):
+        skipped = None
+    if skipped is None:
+        return [json.dumps(obj, indent=2, default=_listed).encode()]
+    marks = []
+    bounds = [0, *itertools.chain.from_iterable(skipped), len(out)]
+    for lo, hi in zip(bounds[::2], bounds[1::2]):  # the spans between those skipped
+        marks += [match.start() for match in _EXPONENT.finditer(out, lo, hi)]
+        at = out.find(b"0.0000", lo, hi)
+        while at != -1:
+            marks.append(at)
+            at = out.find(b"0.0000", at + 6, hi)
     tokens = {}  # start -> stop of each token to respell
     for mark in marks:
         # a number ends its line, before a "," if one follows; the span of a
@@ -351,16 +389,24 @@ def _json_bytes(obj) -> bytes:
             stop -= 1
         if _NUMBER.fullmatch(out, start, stop):
             tokens[start] = stop
-    parts, done, text = [], 0, memoryview(out)  # the join copies out once
+    parts, done, text = [], 0, memoryview(out)
     for start, stop in sorted(tokens.items()):
         parts += [text[done:start], repr(float(out[start:stop])).encode()]
         done = stop
     parts.append(text[done:])
-    return b"".join(parts)
+    return parts
+
+
+def _json_bytes(obj) -> bytes:
+    """The bytes ``_json_parts`` gives, joined."""
+    return b"".join(_json_parts(obj))
 
 
 def _write_json(path: Path, payload: dict):
-    path.write_bytes(_json_bytes(payload) + b"\n")
+    """``payload``'s JSON bytes and a newline, written part by part."""
+    with path.open("wb") as f:
+        f.writelines(_json_parts(payload))
+        f.write(b"\n")
 
 
 def _csv_head(settings: dict, header: Sequence[str]) -> io.StringIO:

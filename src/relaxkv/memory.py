@@ -7,6 +7,7 @@ alignment with the tail prototype, and picks the top scorers as history.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,9 +23,11 @@ class Frame:
     """One generated frame: per-layer key/value blocks of shape (layers, F, d).
     In a rollout they are views of one slot of the run's key and value
     arrays (see ``attention.KVCache``), which a later frame overwrites once
-    this one is evicted. The rollout keeps its scoring mean key apart, as a
-    row of ``mean_keys``, and checks that a chunk's keys and values are
-    finite before it makes their frames."""
+    this one is evicted, or, for a history frame the cache holds only as
+    its layer inputs, views of the product that rebuilt it for the step
+    that attends it (``attention.rebuild_frames``). The rollout keeps its
+    scoring mean key apart, as a row of ``mean_keys``, and checks that a
+    chunk's keys and values are finite before it makes their frames."""
 
     id: int
     keys: np.ndarray
@@ -163,8 +166,9 @@ def select_history(scored: list[ScoredCandidate], k: int) -> list[int]:
     return sorted(s.frame_id for s in ranked[:k])
 
 
-def _cached(frames: dict[int, Frame], ids) -> list[Frame]:
-    """The frames of ``ids`` in order; one absent from ``frames`` is a cache miss."""
+def _cached(frames: Mapping, ids) -> list:
+    """The entries of ``ids`` in order, frames or slots; one absent from
+    ``frames`` is a cache miss."""
     try:
         return [frames[fid] for fid in ids]
     except KeyError as exc:
@@ -172,7 +176,7 @@ def _cached(frames: dict[int, Frame], ids) -> list[Frame]:
 
 
 def select_memory(
-    frames: dict[int, Frame], means: np.ndarray, scoring: tuple[int, int, int],
+    held: Mapping[int, int], means: np.ndarray, scoring: tuple[int, int, int],
     cfg: MemoryConfig, pool: list[int], sink_prototypes: dict[int, np.ndarray | None],
     attended: tuple[int, int],
 ) -> tuple[StructuredMemory, list[ScoredCandidate]]:
@@ -195,7 +199,9 @@ def select_memory(
     so its prototype is computed once per sink size and kept in
     ``sink_prototypes``, which the caller holds for the run. Selection reads
     no cached keys, but its chosen frames are attended next and an evicted
-    frame's row still holds a value, so the pool is checked to be cached.
+    frame's row still holds a value, so the pool is checked to be ``held``
+    in the cache's inputs store (``KVCache.inputs``), from which a chosen
+    frame is rebuilt.
 
     Each candidate is scored with the dot products of its unit prototype
     with the sink's and the tail's, a missing group's term 0, taken for the
@@ -204,7 +210,7 @@ def select_memory(
     if not pool or cfg.n_history == 0:
         return StructuredMemory.of_regions(attended[0], [], attended[1], generated_count), []
 
-    _cached(frames, pool)
+    _cached(held, pool)
     n_tail = generated_count - tail_start
     protos = _normalize(means[pool + [tail_start] if n_tail == 1 else pool])
     if sink_stop not in sink_prototypes:

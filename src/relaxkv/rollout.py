@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from .attention import (
     ToyAttentionStack,
     append_and_evict,
     attend_chunk,
+    rebuild_frames,
 )
 from .config import MemoryConfig, Policy, RolloutConfig
 from .errors import ConfigError, ContractViolationError, RelaxKVError
@@ -20,6 +22,7 @@ from .memory import (
     Frame,
     ScoredCandidate,
     StructuredMemory,
+    _cached,
     mean_keys,
     partition,
     region_bounds,
@@ -184,46 +187,71 @@ def structured_step_memory(
     return plan.memory(0), plan.cfg if plan.scored else None
 
 
-def eviction_schedule(plan: MemoryPlan) -> list[list[int]]:
-    """Ids of the frames each step reads for the last time, step by step, for
-    the plan of a whole run (frames generated 0, U, 2U, ...).
+def eviction_schedule(plan: MemoryPlan) -> tuple[list[list[int]], list[list[int]]]:
+    """For each of a run's two stores, the K/V store and the inputs store
+    (see ``attention.KVCache``), the ids of the frames each step reads from
+    it for the last time, step by step, for the plan of a whole run (frames
+    generated 0, U, 2U, ...).
 
-    Records the last step that reads each frame: the step attends its sink
-    and tail and, when ``cfg.n_history > 0``, may attend any frame of its
-    pool. Selection reads no other cached frame, as it scores from the mean
-    keys. A frame is read at least by the step that generates it.
-    """
+    The K/V store holds a frame through the last step that attends it as
+    a sink or tail frame. The inputs store holds a frame of the pools, when
+    ``cfg.n_history > 0``, through the last step whose pool holds it: a
+    step may attend any of them as history. Selection reads no cached
+    frame, as it scores from the mean keys, and the step that generates a
+    frame attends it from ``attend_chunk``'s own keys and values. So the
+    two stores together hold each frame through the last later step that
+    may read it, and a store never holds a frame its schedule leaves out."""
     cfg = plan.cfg
     U = cfg.chunk_size
-    last = np.arange(len(plan.generated) * U) // U
+    steps = len(plan.generated)
+    last, last_pool = np.full((2, steps * U), -1)
     columns = (plan.generated, plan.sink_stop, plan.tail_start)
     rows = zip(*(col.tolist() for col in columns), plan.pools)
     for step, (i, sink_stop, tail_start, pool) in enumerate(rows):
         last[:sink_stop] = step
         if cfg.n_history > 0:
-            last[pool] = step
+            last_pool[pool] = step
         last[tail_start:i] = step
+    return _by_last_step(last, steps), _by_last_step(last_pool, steps)
+
+
+def _by_last_step(last: np.ndarray, steps: int) -> list[list[int]]:
+    """The ids of ``last``'s entries, each a frame's last step or -1 for a
+    frame never held, grouped by that step, for each of ``steps`` steps."""
     order = np.argsort(last, kind="stable")
-    bounds = np.searchsorted(last[order], np.arange(1, len(plan.generated)))
-    return [ids.tolist() for ids in np.split(order, bounds)]
+    bounds = np.searchsorted(last[order], np.arange(steps))
+    return [ids.tolist() for ids in np.split(order, bounds)[1:]]
+
+
+def _joins(slots: np.ndarray, generated: list[int], chunk: int) -> list[list[tuple]]:
+    """Per step, the (row in its chunk, frame id, slot) of each frame of the
+    chunk generated after ``generated`` frames that a store's ``slots``
+    (``frame_slots``) hold."""
+    held = slots.tolist()
+    return [[(fid - i, fid, held[fid]) for fid in range(i, i + chunk) if held[fid] >= 0]
+            for i in generated]
 
 
 def frame_slots(expired: list[list[int]], chunk: int) -> tuple[np.ndarray, int]:
-    """Each frame's slot in a run's key and value arrays, and the slot count,
-    from the run's eviction schedule (step s generates the frames
-    ``[s * chunk, (s + 1) * chunk)``). A step's chunk takes slots its
+    """Each frame's slot in a run's store, -1 for a frame the store never
+    holds, and the slot count, from the store's eviction schedule, which
+    names every frame it holds (step s generates the frames ``[s * chunk,
+    (s + 1) * chunk)``). A step's held chunk frames take slots its
     predecessors' expired frames freed, and a new slot only when none is
     free, so the count is the schedule's residency peak: a chunk joins the
-    cache before its step's expired frames leave it."""
-    slots: list[int] = []
+    store before its step's expired frames leave it."""
+    held = set(itertools.chain.from_iterable(expired))
+    slots = [-1] * (len(expired) * chunk)
     free: list[int] = []
     count = 0
-    for ids in expired:
-        for _ in range(chunk):
+    for step, ids in enumerate(expired):
+        for fid in range(step * chunk, (step + 1) * chunk):
+            if fid not in held:
+                continue
             if free:
-                slots.append(free.pop())
+                slots[fid] = free.pop()
             else:
-                slots.append(count)
+                slots[fid] = count
                 count += 1
         free.extend(slots[fid] for fid in ids)
     return np.array(slots), count
@@ -231,17 +259,28 @@ def frame_slots(expired: list[list[int]], chunk: int) -> tuple[np.ndarray, int]:
 
 def run_rollout(cfg: RolloutConfig) -> RolloutTrace:
     """Generate cfg.total_frames frames chunk by chunk under cfg.memory.policy.
-    Each frame's keys and values are written once, into its slot
-    (``frame_slots``), and its cached ``Frame`` is a view of the slot."""
+
+    The cache has two stores, each with its own schedule
+    (``eviction_schedule``) and slots (``frame_slots``). The keys and values
+    of a frame that a later step attends as sink or tail are written once,
+    into its slot of the K/V store, and its cached ``Frame`` is a view of
+    the slot. The layer inputs of a frame that a later step may pick as
+    history are written into its slot of the inputs store. A picked
+    history frame whose K/V the cache does not hold is rebuilt from them
+    (``rebuild_frames``) before the step attends, and leaves the cache with
+    the step's expired frames."""
     mcfg, model = cfg.memory, cfg.model
     U = mcfg.chunk_size
     stack = ToyAttentionStack(model, cfg.seed)
     cache = KVCache()
     plan = memory_plan(mcfg, np.arange(0, cfg.total_frames, U))
-    expired = eviction_schedule(plan)
+    expired, inputs_expired = eviction_schedule(plan)
     slots, count = frame_slots(expired, U)
+    input_slots, input_count = frame_slots(inputs_expired, U)
+    frame_shape = (model.frame_tokens, model.d)
     # keys at index 0 and values at 1, in one allocation
-    slot_keys, slot_values = np.empty((2, model.layers, count, model.frame_tokens, model.d))
+    slot_keys, slot_values = np.empty((2, model.layers, count, *frame_shape))
+    inputs = np.empty((model.layers, input_count, *frame_shape))  # no slots without pools
     records: list[StepRecord] = []
     features = np.empty((cfg.total_frames, model.d))
     # every frame's scoring mean key, the rows select_memory reads
@@ -252,6 +291,7 @@ def run_rollout(cfg: RolloutConfig) -> RolloutTrace:
     phases = rotation_phases(range(last + 1), model)
     columns = (plan.generated, plan.sink_stop, plan.tail_start, plan.first_positions())
     generated, sink_stops, tail_starts, firsts = (col.tolist() for col in columns)
+    kv_joins, input_joins = (_joins(s, generated, U) for s in (slots, input_slots))
     if plan.scored:
         score_sinks, score_tails = plan.score_sink.tolist(), plan.score_tail.tolist()
     n_history = plan.cfg.n_history
@@ -261,28 +301,39 @@ def run_rollout(cfg: RolloutConfig) -> RolloutTrace:
             i, sink_stop, tail_start = generated[step], sink_stops[step], tail_starts[step]
             if plan.scored:
                 mem, scored = select_memory(
-                    cache.frames, means, (score_sinks[step], score_tails[step], i),
+                    cache.inputs, means, (score_sinks[step], score_tails[step], i),
                     plan.cfg, pool, sink_prototypes, (sink_stop, tail_start),
                 )
             else:
                 mem = StructuredMemory.of_regions(sink_stop, pool[:n_history], tail_start, i)
                 scored = []
+            rebuilt = [fid for fid in mem.history_ids if fid not in cache.frames]
+            if rebuilt:
+                held_inputs = inputs[:, _cached(cache.inputs, rebuilt)]
+                cache.frames.update(
+                    (f.id, f) for f in rebuild_frames(rebuilt, held_inputs, U, stack)
+                )
 
             chunk_ids = list(range(i, i + U))
             hidden = stack.embed_chunk(chunk_ids)
             first = firsts[step]
             step_phases = phases[first : first + len(mem) + U]
-            out, new_keys, new_values, cost = attend_chunk(hidden, mem, step_phases, cache, stack)
+            out, new_keys, new_values, cost, layer_inputs = attend_chunk(
+                hidden, mem, step_phases, cache, stack
+            )
             if not (np.isfinite(new_keys).all() and np.isfinite(new_values).all()):
                 raise ContractViolationError("chunk keys or values contain non-finite entries")
-            chunk_slots = slots[i : i + U]
-            slot_keys[:, chunk_slots] = new_keys
-            slot_values[:, chunk_slots] = new_values
-            new_frames = [
-                Frame(id=fid, keys=slot_keys[:, slot], values=slot_values[:, slot])
-                for fid, slot in zip(chunk_ids, chunk_slots.tolist())
-            ]
-            append_and_evict(cache, new_frames, expired[step])
+            new_frames = []
+            for row, fid, slot in kv_joins[step]:
+                slot_keys[:, slot] = new_keys[:, row]
+                slot_values[:, slot] = new_values[:, row]
+                new_frames.append(Frame(fid, slot_keys[:, slot], slot_values[:, slot]))
+            for row, fid, slot in input_joins[step]:
+                inputs[:, slot] = layer_inputs[:, row]
+                cache.inputs[fid] = slot
+            for fid in inputs_expired[step]:
+                del cache.inputs[fid]
+            append_and_evict(cache, new_frames, expired[step] + rebuilt)
             if plan.scored:
                 means[i : i + U] = mean_keys(new_keys, plan.cfg.scoring_layer)
 

@@ -173,7 +173,7 @@ def test_attention_oracle():
             plan = relaxed_positions(mem, n_mem, U)
             h = rng.normal(size=(U, params.frame_tokens, params.d))
             phases = phases_from(n_mem - len(mem), len(mem) + U, params)
-            out, _, _, _ = attend_chunk(h, mem, phases, cache, stack)
+            out, _, _, _, _ = attend_chunk(h, mem, phases, cache, stack)
             ref = naive_reference(
                 h, mem_frames, list(range(n_mem)),
                 plan.current_chunk_positions, stack,

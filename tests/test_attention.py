@@ -27,6 +27,7 @@ from relaxkv import (
     run_rollout,
     sample_pool,
 )
+from relaxkv.attention import rebuild_frames
 from relaxkv.cli import profile_rows
 from relaxkv.errors import CacheMissError
 from relaxkv.rope import rotation_phases
@@ -146,7 +147,7 @@ class TestAttendChunk:
         )
         h = np.random.default_rng(1).normal(size=(1, 1, params.d))
         phases = phases_from(0, 1, params)
-        out, _, _, cost = attend_chunk(h, StructuredMemory(), phases, KVCache(), stack)
+        out, _, _, cost, _ = attend_chunk(h, StructuredMemory(), phases, KVCache(), stack)
         # softmax over one element: context is exactly that token's value
         np.testing.assert_allclose(out, h + h.reshape(1, -1) @ wv)
         assert cost.attended_frames == 1
@@ -171,7 +172,7 @@ class TestAttendChunk:
         cache = KVCache(frames={0: mem_frame})
         mem = StructuredMemory(tail_ids=[0])
         h = rng.normal(size=(1, params.frame_tokens, params.d))
-        out, _, _, _ = attend_chunk(h, mem, phases_from(0, 2, params), cache, stack)
+        out, _, _, _, _ = attend_chunk(h, mem, phases_from(0, 2, params), cache, stack)
         values = np.concatenate(
             [mem_frame.values[0], h.reshape(-1, params.d) @ wv]
         )
@@ -190,7 +191,7 @@ class TestAttendChunk:
         U = 2
         h = rng.normal(size=(U, SMALL.frame_tokens, SMALL.d))
         # the tail keeps its absolute indices, so memory and chunk start at 0
-        out, _, _, cost = attend_chunk(h, mem, phases_from(0, n_mem + U, SMALL), cache, stack)
+        out, _, _, cost, _ = attend_chunk(h, mem, phases_from(0, n_mem + U, SMALL), cache, stack)
         ref = naive_reference(
             h, mem_frames, list(range(n_mem)), list(range(i, i + U)), stack
         )
@@ -217,7 +218,7 @@ class TestAttendChunk:
         mem = StructuredMemory(tail_ids=list(range(n_mem)))
         h = rng.normal(size=(U, params.frame_tokens, params.d))
         phases = phases_from(0, n_mem + U, params)
-        out, new_keys, new_values, cost = attend_chunk(h, mem, phases, cache, stack)
+        out, new_keys, new_values, cost, _ = attend_chunk(h, mem, phases, cache, stack)
         ref = naive_reference(
             h, mem_frames, list(range(n_mem)), list(range(n_mem, n_mem + U)), stack
         )
@@ -245,7 +246,7 @@ class TestAttendChunk:
         h = rng.normal(size=(2, SMALL.frame_tokens, SMALL.d))
         span = first_layer_logit_span(h, mem_frames, stack)
         assert (span > 700) == (key_scale > 1)
-        out, _, _, _ = attend_chunk(h, mem, phases_from(0, 5, SMALL), cache, stack)
+        out, _, _, _, _ = attend_chunk(h, mem, phases_from(0, 5, SMALL), cache, stack)
         ref = naive_reference(h, mem_frames, [0, 1, 2], [3, 4], stack)
         assert np.isfinite(out).all()
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
@@ -269,7 +270,7 @@ class TestAttendChunk:
         U = 2
         h = rng.normal(size=(U, SMALL.frame_tokens, SMALL.d))
         phases = phases_from(first, len(mem) + U, SMALL)
-        out, _, _, _ = attend_chunk(h, mem, phases, cache, stack)
+        out, _, _, _, _ = attend_chunk(h, mem, phases, cache, stack)
         positions = list(range(first, first + len(mem) + U))
         ref = naive_reference(h, mem_frames, positions[:-U], positions[-U:], stack)
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
@@ -283,7 +284,7 @@ class TestAttendChunk:
         cache = KVCache(frames={f.id: f for f in frames})
         mem = StructuredMemory(sink_ids=[0, 1], history_ids=[2], tail_ids=[3])
         h = rng.normal(size=(3, SMALL.frame_tokens, SMALL.d))
-        _, _, _, cost = attend_chunk(h, mem, phases_from(0, 4 + 3, SMALL), cache, stack)
+        _, _, _, cost, _ = attend_chunk(h, mem, phases_from(0, 4 + 3, SMALL), cache, stack)
         analytic = count_step_cost(mem, 3, SMALL.frame_tokens, SMALL)
         assert cost == analytic
 
@@ -311,13 +312,16 @@ class TestCountStepCost:
 
 class TestAppendAndEvict:
     def steps(self, rng, cfg, total_frames):
-        """Feed chunk after chunk through append_and_evict on the run's
-        eviction schedule; yield the step and the cache after it."""
+        """Feed chunk after chunk through append_and_evict on the run's K/V
+        eviction schedule, each chunk's frames that the schedule holds;
+        yield the step and the cache after it."""
         cache = KVCache()
         U = cfg.chunk_size
         plan = memory_plan(cfg, np.arange(0, total_frames, U))
-        for step, expired in enumerate(eviction_schedule(plan)):
-            ids = range(step * U, (step + 1) * U)
+        schedule = eviction_schedule(plan)[0]
+        held = {f for ids in schedule for f in ids}
+        for step, expired in enumerate(schedule):
+            ids = held & set(range(step * U, (step + 1) * U))
             append_and_evict(cache, [random_frame(rng, fid, SMALL) for fid in ids], expired)
             yield step, cache
 
@@ -434,48 +438,73 @@ class TestRetentionProperty:
     @example(bounded_config(Policy.RELAXED))
     @example(bounded_config(Policy.HISTORY_ONLY))
     def test_cache_after_every_step(self, cfg):
-        """After each step the cache holds exactly the frames a later step
-        reads, which cover the next step's memory and never exceed the
-        set-based rule's frames plus the fixed-position history."""
+        """After each step the two stores together hold exactly the frames a
+        later step reads, which never exceed the set-based rule's frames
+        plus the fixed-position history. The next step's sink and tail are
+        in ``cache.frames`` and its history in the inputs store."""
         mcfg = cfg.memory
         snapshots = []
 
         def recording(cache, new_frames, expired):
-            before = [*cache.frames, *(f.id for f in new_frames)]
+            before = [*cache.frames, *cache.inputs, *(f.id for f in new_frames)]
             append_and_evict(cache, new_frames, expired)
-            snapshots.append((before, list(cache.frames)))
+            snapshots.append((before, set(cache.frames), set(cache.inputs)))
             return cache
 
         with mock.patch.object(rollout_module, "append_and_evict", recording):
             trace = run_rollout(cfg)
 
         pins = mcfg.policy is Policy.RELAXED and mcfg.fixed_history_position is not None
-        for step, (before, frames) in enumerate(snapshots):
+        for step, (before, frames, inputs) in enumerate(snapshots):
             count = trace.records[step].generated_before + mcfg.chunk_size
-            assert set(frames) == live_frames(trace, step)
+            assert frames | inputs == live_frames(trace, step)
             upper = set_based_retention(before, mcfg, count)
             if pins:  # what the fixed position attends next, in either half
                 upper |= set(list_regions(count, mcfg)[4])
-            assert set(frames) <= upper
+            assert frames | inputs <= upper
             if step + 1 < len(trace.records):
-                assert set(trace.records[step + 1].memory.all_ids) <= set(frames)
+                mem = trace.records[step + 1].memory
+                assert set(mem.sink_ids) | set(mem.tail_ids) <= frames
+                assert set(mem.history_ids) <= inputs
         assert audit_history_compliance(trace) == []
+
+
+def resident_kv(cfg, step):
+    """The frames the K/V store's schedule holds while ``step`` attends."""
+    U = cfg.memory.chunk_size
+    plan = memory_plan(cfg.memory, np.arange(0, cfg.total_frames, U))
+    expired = eviction_schedule(plan)[0]
+    held = {f for ids in expired for f in ids}
+    return held & set(range(step * U)) - {f for ids in expired[:step] for f in ids}
 
 
 class TestSlotReuseProperty:
     @settings(max_examples=150, deadline=None)
     @given(rollout_configs())
     @example(tiny_config(Policy.RELAXED))
+    @example(tiny_config(Policy.HISTORY_ONLY))  # four rebuilds a step
     @example(tiny_config(Policy.HISTORY_ONLY, n_sink=3, n_tail=2))
     @example(tiny_config(Policy.DENSE_WINDOW, chunk_size=2, window_size=9))
     @example(tiny_config(Policy.RELAXED, fixed_history_position=4, n_history=2))
+    @example(tiny_config(Policy.RELAXED, fixed_history_position=1, n_history=2))
+    @example(replace(tiny_config(Policy.RELAXED), model=replace(TINY, layers=1)))
+    @example(replace(tiny_config(Policy.RELAXED, n_history=2), model=replace(TINY, layers=3)))
+    # a one-row rebuild of a chunk of three rows, and chunks of one row
+    @example(replace(tiny_config(Policy.RELAXED), model=replace(TINY, frame_tokens=1)))
+    @example(replace(tiny_config(Policy.HISTORY_ONLY, chunk_size=1),
+                     model=replace(TINY, frame_tokens=1)))
+    # d = 18, where a product by the wk and wv columns alone changes bits
+    @example(replace(tiny_config(Policy.HISTORY_ONLY),
+                     model=ModelParams(layers=2, heads=3, head_dim=6, frame_tokens=2)))
     def test_attended_frames_hold_their_chunk_outputs(self, cfg):
         """A frame's slot is reused once the frame is evicted, and every step
         still attends, bit for bit, each memory frame's keys and values as
-        the chunk that generated it returned them."""
+        the chunk that generated it returned them, whether read from the K/V
+        store or rebuilt from the inputs store. A step rebuilds exactly its
+        history frames that the K/V store does not hold."""
         U = cfg.memory.chunk_size
         produced = {}  # frame id -> copies of its keys and values
-        steps = []
+        steps, rebuilt = [], []
 
         def attending(hidden, mem, phases, cache, stack):
             for fid in mem.all_ids:
@@ -490,9 +519,20 @@ class TestSlotReuseProperty:
             steps.append(len(mem))
             return result
 
-        with mock.patch.object(rollout_module, "attend_chunk", attending):
+        def rebuilding(ids, inputs, chunk, stack):
+            rebuilt.append((len(steps), list(ids)))
+            return rebuild_frames(ids, inputs, chunk, stack)
+
+        with mock.patch.object(rollout_module, "attend_chunk", attending), \
+                mock.patch.object(rollout_module, "rebuild_frames", rebuilding):
             trace = run_rollout(cfg)
         assert steps == [len(rec.memory) for rec in trace.records]
+        expected = [
+            (step, missing) for step, rec in enumerate(trace.records)
+            if (missing := [f for f in rec.memory.history_ids
+                            if f not in resident_kv(cfg, step)])
+        ]
+        assert rebuilt == expected
 
 
 class TestProfileProperty:
@@ -578,21 +618,25 @@ class TestScoredEqualsRecomputedProperty:
         recomputed with frame_prototype, group_prototype and score_candidate
         from every frame generated before it selected: the sink prototype
         kept across steps is the one recomputed every step. The frames are
-        logged as copies as they reach the cache: it evicts those no later
-        step attends, and a later frame's keys overwrite an evicted frame's
-        slot. history_only scores against sink and tail frames it does not
-        attend, so they are evicted early."""
+        logged as copies of the keys and values attend_chunk returns: the
+        cache keeps K/V only for the sink and tail frames a later step
+        attends, a later frame's keys overwrite an evicted frame's slot, and
+        history_only scores against sink and tail frames it does not
+        attend."""
         mem = replace(cfg.memory, policy=policy, fixed_history_position=None,
                       scoring_layer=layer)
         cfg = replace(cfg, memory=mem)
         generated = {}  # frame id -> frame, every frame of the run so far
         expected = {}  # generated count -> recomputed scores
 
-        def appending(cache, new_frames, expired):
+        def attending(hidden, mem, phases, cache, stack):
+            result = attend_chunk(hidden, mem, phases, cache, stack)
+            i = len(generated)
             generated.update(
-                (f.id, Frame(f.id, f.keys.copy(), f.values.copy())) for f in new_frames
+                (i + j, Frame(i + j, result[1][:, j].copy(), result[2][:, j].copy()))
+                for j in range(len(hidden))
             )
-            return append_and_evict(cache, new_frames, expired)
+            return result
 
         def selecting(frames, means, scoring, scfg, pool, sink_prototypes, attended):
             result = memory_module.select_memory(
@@ -612,7 +656,7 @@ class TestScoredEqualsRecomputedProperty:
             return result
 
         with mock.patch.object(rollout_module, "select_memory", selecting), \
-                mock.patch.object(rollout_module, "append_and_evict", appending):
+                mock.patch.object(rollout_module, "attend_chunk", attending):
             trace = run_rollout(cfg)
         assert len(expected) == len(trace.records)
         for rec in trace.records:

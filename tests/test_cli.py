@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -142,9 +143,10 @@ class TestRollout:
         schedule = rollout_mod.eviction_schedule
 
         def expiring_early(plan):
-            expired = [[f for f in ids if f != lost] for ids in schedule(plan)]
-            expired[9].append(lost)  # gone before step 10 scores it
-            return expired
+            kv, inputs = schedule(plan)
+            inputs = [[f for f in ids if f != lost] for ids in inputs]
+            inputs[9].append(lost)  # gone from the inputs store before step 10 scores it
+            return kv, inputs
 
         monkeypatch.setattr(rollout_mod, "eviction_schedule", expiring_early)
         assert main(["rollout", "--seed", "1", "--out", str(tmp_path)]) == 3
@@ -639,7 +641,8 @@ def test_rollout_bytes_do_not_depend_on_blas_threads(tmp_path):
     """A report is byte-identical under 1 and 2 OpenBLAS threads, also where
     the attention products are large enough that OpenBLAS would split one
     over threads: ``full`` rollouts attend up to 4,800 key tokens, and
-    ``dense_window`` at ``window_size=60`` up to 960."""
+    ``dense_window`` at ``window_size=60`` up to 960, and where history
+    frames are rebuilt several at once, past ``_ONE_THREAD_GEMM``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     cases = {
         "relaxed-150": ["rollout.total_frames=150"],
@@ -647,6 +650,11 @@ def test_rollout_bytes_do_not_depend_on_blas_threads(tmp_path):
         "full-300": ["rollout.total_frames=300", "memory.policy=full"],
         "dense_window60-300": [
             "rollout.total_frames=300", "memory.policy=dense_window", "memory.window_size=60",
+        ],
+        # four frames rebuilt at once, a 64x192x64 product a layer
+        "history_only-300": ["rollout.total_frames=300", "memory.policy=history_only"],
+        "relaxed_history3_pool7-300": [
+            "rollout.total_frames=300", "memory.n_history=3", "memory.pool_size=7",
         ],
     }
     for name, sets in cases.items():
@@ -662,3 +670,34 @@ def test_rollout_bytes_do_not_depend_on_blas_threads(tmp_path):
             )
             reports.append((out / "rollout.json").read_bytes())
         assert reports[0] == reports[1], name
+
+
+def test_relaxed_rollout_call_memory_peaks_in_the_run(tmp_path, monkeypatch):
+    """A 1,500-frame relaxed rollout call keeps layer inputs, not K/V, for
+    the frames it may pick as history: the run's traced peak stays at most
+    12 MB, where K/V for them alone would take 11.3 MB, and the report
+    phase after the run peaks below the run."""
+    import relaxkv.cli as cli_mod
+
+    # a first call imports and builds what every later call shares
+    assert main(["rollout", "--seed", "1", "--out", str(tmp_path / "warm"),
+                 "--set", "rollout.total_frames=30"]) == 0
+    peaks = {}
+
+    def traced(cfg):
+        tracemalloc.reset_peak()
+        trace = run_rollout(cfg)
+        peaks["run"] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        return trace
+
+    monkeypatch.setattr(cli_mod, "run_rollout", traced)
+    tracemalloc.start()
+    try:
+        assert main(["rollout", "--seed", "1", "--out", str(tmp_path),
+                     "--set", "rollout.total_frames=1500"]) == 0
+        peaks["report"] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peaks["run"] <= 12e6
+    assert peaks["report"] < peaks["run"]

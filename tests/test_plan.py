@@ -75,21 +75,57 @@ def oracle_step_memory(cfg, i):
     return StructuredMemory(list(sink), history, list(tail)), None
 
 
-def oracle_eviction_schedule(cfg, total_frames):
-    U = cfg.chunk_size
-    last = np.arange(total_frames) // U
-    steps = range(0, total_frames, U)
-    for step, i in enumerate(steps):
+def oracle_last_reads(cfg, total_frames):
+    """Each frame's last step from the per-step rule: reading it as a sink
+    or tail frame, and reading it as a history or scored pool frame, -1
+    for a frame never so read."""
+    last_kv, last_pool = np.full((2, total_frames), -1)
+    for step, i in enumerate(range(0, total_frames, cfg.chunk_size)):
         mem, scoring = oracle_step_memory(cfg, i)
-        last[mem.all_ids] = step
+        last_kv[mem.sink_ids + mem.tail_ids] = step
+        last_pool[mem.history_ids] = step
         if scoring is None:
             continue
         _, pool = oracle_step_pool(scoring, i)
         if pool and scoring.n_history:
-            last[pool] = step
-    order = np.argsort(last, kind="stable")
-    bounds = np.searchsorted(last[order], np.arange(1, len(steps)))
-    return [ids.tolist() for ids in np.split(order, bounds)]
+            last_pool[pool] = step
+    return last_kv, last_pool
+
+
+def by_last_step(last, steps):
+    """The frame ids of each step in ``last``, ascending; -1 is none."""
+    return [np.flatnonzero(last == step).tolist() for step in range(steps)]
+
+
+def oracle_eviction_schedule(cfg, total_frames):
+    """The single store's schedule: each frame expires after the last step
+    that may read it in any role, and at the latest after the step that
+    generates it."""
+    U = cfg.chunk_size
+    generating = np.arange(total_frames) // U
+    last = np.maximum(generating, np.maximum(*oracle_last_reads(cfg, total_frames)))
+    return by_last_step(last, total_frames // U)
+
+
+def oracle_store_schedules(cfg, total_frames):
+    """The K/V store's and the inputs store's schedules."""
+    steps = total_frames // cfg.chunk_size
+    return tuple(by_last_step(last, steps) for last in oracle_last_reads(cfg, total_frames))
+
+
+def residents(expired, chunk, after=False):
+    """Per step, the frames a store with schedule ``expired`` holds while
+    the step runs, its chunk joined and its expired frames not yet left,
+    or, ``after``, once they have left."""
+    held = {f for ids in expired for f in ids}
+    resident = set()
+    for step, ids in enumerate(expired):
+        resident |= held & set(range(step * chunk, (step + 1) * chunk))
+        if not after:
+            yield set(resident)
+        resident -= set(ids)
+        if after:
+            yield set(resident)
 
 
 def oracle_profile_rows(cfg):
@@ -138,7 +174,7 @@ class TestMemoryPlan:
                 assert score_bounds == (sink.stop, tail.start)
         if not plan.scored:
             assert (plan.score_sink, plan.score_tail) == (None, None)
-        assert eviction_schedule(plan) == oracle_eviction_schedule(mcfg, cfg.total_frames)
+        assert eviction_schedule(plan) == oracle_store_schedules(mcfg, cfg.total_frames)
         header, rows = profile_rows(cfg)
         assert header == [
             "step", "generated_before", "n_sink", "n_history", "n_tail",
@@ -169,22 +205,23 @@ class TestMemoryPlan:
 
 
 def peak_residency(cfg, total_frames):
-    """The most frames the cache holds at once, read from the eviction
-    schedule alone, without generating a frame: each step's chunk joins the
-    cache before the step's expired frames leave it."""
+    """The most frames each store, K/V then inputs, holds at once, read from
+    the eviction schedules alone, without generating a frame."""
     U = cfg.chunk_size
-    expired = eviction_schedule(memory_plan(cfg, np.arange(0, total_frames, U)))
-    left = np.cumsum([0, *(len(ids) for ids in expired[:-1])])
-    return int((U * np.arange(1, len(expired) + 1) - left).max())
+    schedules = eviction_schedule(memory_plan(cfg, np.arange(0, total_frames, U)))
+    return tuple(max(map(len, residents(expired, U))) for expired in schedules)
 
 
 class TestResidency:
     def test_scored_runs_hold_about_a_quarter_of_their_frames(self):
-        """A scored run keeps only the frames a later step may attend, about
-        a quarter of those it generates, whatever bounded_cache says."""
+        """A scored run keeps K/V only for the sink and tail frames a later
+        step attends, and layer inputs for the pool frames a later step may
+        pick, about a quarter of those it generates, whatever bounded_cache
+        says. history_only attends a sink and a tail only while its pool is
+        empty."""
         peaks = {
-            Policy.RELAXED: {1500: 345, 12000: 2718},
-            Policy.HISTORY_ONLY: {1500: 343, 12000: 2716},
+            Policy.RELAXED: {1500: (4, 342), 12000: (4, 2715)},
+            Policy.HISTORY_ONLY: {1500: (3, 342), 12000: (3, 2715)},
         }
         for policy, by_frames in peaks.items():
             for frames, peak in by_frames.items():
@@ -192,17 +229,23 @@ class TestResidency:
                     cfg = MemoryConfig(policy=policy, bounded_cache=flag)
                     assert peak_residency(cfg, frames) == peak
                 plan = memory_plan(cfg, np.arange(0, frames, cfg.chunk_size))
-                assert frame_slots(eviction_schedule(plan), cfg.chunk_size)[1] == peak
+                counts = tuple(
+                    frame_slots(expired, cfg.chunk_size)[1]
+                    for expired in eviction_schedule(plan)
+                )
+                assert counts == peak
 
     @settings(max_examples=100, deadline=None)
     @given(rollout_configs())
     @example(long_config(Policy.RELAXED))
     @example(long_config(Policy.HISTORY_ONLY))
+    @example(long_config(Policy.RELAXED, fixed_history_position=7, n_history=2))
     @example(long_config(Policy.DENSE_WINDOW, chunk_size=2, window_size=9))
     def test_a_run_makes_one_slot_per_frame_at_its_peak(self, cfg):
-        """A run's key and value arrays hold as many slots as its cache holds
-        frames at their peak: a freed slot is reused before a new one is
-        made, and no two frames resident at once share one."""
+        """Each of a run's two stores holds as many slots as it holds frames
+        at their peak: a freed slot is reused before a new one is made, no
+        two frames resident at once share one, and a frame the store never
+        holds has none. A plan without pools makes no inputs slot."""
         original, runs = frame_slots, []
 
         def slotting(expired, chunk):
@@ -211,16 +254,37 @@ class TestResidency:
 
         with mock.patch.object(rollout_module, "frame_slots", slotting):
             run_rollout(cfg)
-        (slots, count), = runs
-        assert count == peak_residency(cfg.memory, cfg.total_frames)
         U = cfg.memory.chunk_size
-        expired = eviction_schedule(memory_plan(cfg.memory, np.arange(0, cfg.total_frames, U)))
-        resident = set()
-        for step, ids in enumerate(expired):
-            resident |= set(range(step * U, (step + 1) * U))
-            held = [slots[fid] for fid in resident]
-            assert len(set(held)) == len(held) and max(held) < count
-            resident -= set(ids)
+        plan = memory_plan(cfg.memory, np.arange(0, cfg.total_frames, U))
+        schedules = eviction_schedule(plan)
+        assert [count for _, count in runs] == list(peak_residency(cfg.memory, cfg.total_frames))
+        for (slots, count), expired in zip(runs, schedules, strict=True):
+            held = {f for ids in expired for f in ids}
+            assert all((slot >= 0) == (fid in held) for fid, slot in enumerate(slots))
+            for resident in residents(expired, U):
+                used = [slots[fid] for fid in resident]
+                assert len(set(used)) == len(used) and max(used, default=-1) < count
+        if not any(plan.pools) or plan.cfg.n_history == 0:
+            assert runs[1][1] == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(rollout_configs())
+    @example(long_config(Policy.RELAXED, n_history=2, pool_size=5))
+    @example(long_config(Policy.RELAXED, fixed_history_position=7, n_history=2))
+    @example(long_config(Policy.HISTORY_ONLY))
+    def test_stores_together_hold_the_single_schedule(self, cfg):
+        """After every step the two stores together carry into the next step
+        the frames a single store does when each frame expires after the
+        last step that may read it in any role. (A single store also held
+        each chunk frame through its own step; that step attends the chunk
+        from attend_chunk's own keys and values.)"""
+        U = cfg.memory.chunk_size
+        plan = memory_plan(cfg.memory, np.arange(0, cfg.total_frames, U))
+        kv, inputs = eviction_schedule(plan)
+        single = oracle_eviction_schedule(cfg.memory, cfg.total_frames)
+        stores = (residents(expired, U, after=True) for expired in (kv, inputs, single))
+        for step, (a, b, both) in enumerate(zip(*stores, strict=True)):
+            assert a | b == both, step
 
 
 class TestOnePoolPerScoredStep:

@@ -31,8 +31,20 @@ POLICIES = ["dense_window", "attention_sink", "relaxed", "none", "sink_only",
             "tail_only", "history_only", "full"]
 
 
+def plain(obj):
+    """``obj`` with every numpy array in it replaced by its ``tolist()``."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(map(plain, obj))
+    return obj
+
+
 def dumps_indented(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """What the writer writes for ``obj``: json's bytes of its plain payload."""
+    return json.dumps(plain(obj), indent=2) + "\n"
 
 
 def written(obj, tmp_path) -> str:
@@ -313,6 +325,93 @@ class TestBlockedReadBack:
         assert len(fell_back) == needs_json(obj)
 
 
+# the values orjson spells otherwise than repr, next to those it spells alike,
+# and the ones it cannot write
+array_floats = finite_floats | st.sampled_from(
+    [-0.0, 5e-324, 9.99e-5, 1e-4, 1e16, 1e300, float("nan"), float("inf"), float("-inf")]
+)
+
+
+@st.composite
+def arrays(draw):
+    """A numpy array of 0 to 20 values: 0-size or not, 1-D or 2-D, C- or
+    Fortran-ordered, or a slice of every other column; float64 mostly."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    values = draw(st.lists(array_floats, min_size=rows * cols, max_size=rows * cols))
+    a = np.array(values, dtype=np.float64).reshape(rows, cols)
+    layout = draw(st.sampled_from(["2-D", "1-D", "Fortran", "sliced"]))
+    if layout == "1-D":
+        a = a.reshape(-1)
+    elif layout == "Fortran":
+        a = np.asfortranarray(a)
+    elif layout == "sliced":
+        a = a[:, ::2]
+    dtype = draw(st.sampled_from([np.float64] * 4 + [np.float32, np.int64]))
+    if dtype is not np.float64:
+        a = np.clip(np.nan_to_num(a), -1e6, 1e6).astype(dtype, order="A")
+    return a
+
+
+def array_needs_json(a: np.ndarray) -> bool:
+    """The writer's rule: orjson writes an array as json writes its
+    ``tolist()`` only when it is float64, C-contiguous and finite."""
+    return a.dtype != np.float64 or not a.flags.c_contiguous or not np.isfinite(a).all()
+
+
+class TestArrayEntries:
+    """A dict entry whose value is a numpy array is written by orjson without
+    a read-back when the array is float64, C-contiguous and finite, with
+    the bytes json writes for its ``tolist()``, and by json otherwise."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(obj=st.dictionaries(texts, arrays() | nested_matrices, min_size=1, max_size=4))
+    def test_matches_json_dumps_of_the_lists(self, obj):
+        with fallbacks() as fell_back:
+            text = cli._json_bytes(obj)
+        assert text.decode() + "\n" == json.dumps(plain(obj), indent=2) + "\n"
+        rule = any(
+            (array_needs_json(v) if isinstance(v, np.ndarray) else needs_json(v))
+            or needs_json(k)
+            for k, v in obj.items()
+        )
+        assert len(fell_back) == rule
+
+    @settings(max_examples=100, deadline=None)
+    @given(obj=st.lists(arrays() | finite_floats, max_size=3)
+           | st.dictionaries(texts, st.lists(arrays(), max_size=2), max_size=3))
+    def test_arrays_below_the_top_level_match_json_dumps(self, obj):
+        assert cli._json_bytes(obj).decode() + "\n" == json.dumps(plain(obj), indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "values, scanned",
+        [([0.5, -0.0, 1e-4, 9.9e15, 1e300 / 1e285], False), ([0.5, 9.99e-5], True),
+         ([5e-324], True), ([1e16], True), ([-1e300], True), ([0.0, -0.0], False), ([], False)],
+        ids=repr,
+    )
+    def test_span_is_scanned_only_for_values_to_respell(self, tmp_path, values, scanned):
+        obj = {"a": [1e-05, 2], "features": np.array([values, values]), "z": "1e16 0.00001"}
+        out = orjson.dumps(obj, option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY)
+        skipped = cli._reads_back(out, obj)
+        assert (skipped == []) == scanned
+        for start, stop in skipped:
+            assert orjson.loads(out[start:stop]) == obj["features"].tolist()
+        assert written(obj, tmp_path) == dumps_indented(obj)
+
+    def test_rollout_features_are_not_read_back(self):
+        """The features of a report reach the writer as their float64 array
+        and are never parsed."""
+        report = cli.trace_report(
+            cli.run_rollout(RolloutConfig(total_frames=30, seed=2)),
+            cli.load_settings(None, ["rollout.total_frames=30"], 2),
+        )
+        features = report["frame_features"]
+        assert features.dtype == np.float64 and features.flags.c_contiguous
+        with parsed() as seen, fallbacks() as fell_back:
+            text = cli._json_bytes(report)
+        assert fell_back == [] and text.decode() + "\n" == dumps_indented(report)
+        assert features.tolist() not in seen
+
+
 @pytest.fixture
 def payloads(monkeypatch):
     """Every (path, payload) the CLI writes as JSON, in call order."""
@@ -356,7 +455,8 @@ class TestReportBytes:
         assert_reports_match(payloads)
 
     def test_long_relaxed_rollout_report(self, tmp_path, payloads):
-        """Its steps and frame features are read back in many runs."""
+        """Its steps are read back in many runs, and its frame features are
+        written from their array."""
         args = ["rollout", "--seed", "5", "--out", str(tmp_path),
                 "--set", "memory.policy=relaxed", "--set", "rollout.total_frames=1500"]
         with fallbacks() as fell_back:

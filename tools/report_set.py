@@ -1,4 +1,4 @@
-"""Write the fixed set of 280 reports used to check byte identity between
+"""Write the fixed set of 282 reports used to check byte identity between
 two versions of relaxkv.
 
     PYTHONPATH=<tree>/src python tools/report_set.py OUT [--check REF]
@@ -25,7 +25,9 @@ profile csv}, 8 policies x {profile csv, profile json} at 12,000 frames (the
 tables the `profile-long` benchmark workload times; no rollouts that long) and
 at 2**31 tokens a frame over 30 frames (score ops beyond int64), rollouts of
 {relaxed, history_only} at 1,500 frames (the `relaxed-rollout` workload's
-shape, whose cache reuses the most slots), plus an
+shape, whose cache reuses the most slots), and relaxed at 1,500 frames with 3
+layers and with 3 of 7 pool frames as history (history frames rebuilt from
+their layer inputs through more layers, and several at once), plus an
 8-policy x n_sink {0,2} sweep, an 8-policy compare and a {relaxed, full} x
 total_frames {15, 60} sweep (at 15 frames one clip, so drift and repetition
 are empty cells), each in csv and json, all with seed 1. Every call goes through
@@ -91,6 +93,12 @@ PROFILE_VARIANTS = {
 
 # the policies written as rollouts of 1,500 frames too, into frames1500/
 LONG_ROLLOUT_POLICIES = ["relaxed", "history_only"]
+# relaxed rollouts of 1,500 frames that rebuild their history otherwise:
+# directory -> --set overrides
+LONG_RELAXED_VARIANTS = {
+    "frames1500_layers3": ["model.layers=3"],
+    "frames1500_history3_pool7": ["memory.n_history=3", "memory.pool_size=7"],
+}
 
 
 def _sets(overrides: list[str]) -> list[str]:
@@ -111,6 +119,9 @@ def calls(out: Path):
     for policy in LONG_ROLLOUT_POLICIES:
         yield ["rollout", "--seed", "1", "--out", str(out / "frames1500" / policy),
                *_sets([f"memory.policy={policy}", "rollout.total_frames=1500"])]
+    for variant, overrides in LONG_RELAXED_VARIANTS.items():
+        yield ["rollout", "--seed", "1", "--out", str(out / variant / "relaxed"),
+               *_sets(["memory.policy=relaxed", "rollout.total_frames=1500", *overrides])]
     for fmt in ("csv", "json"):
         yield ["sweep", "--seed", "1", "--out", str(out / "sweep"), "--format", fmt,
                "--grid", "memory.policy=" + ",".join(POLICIES), "--grid", "memory.n_sink=0,2"]
