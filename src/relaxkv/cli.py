@@ -287,55 +287,45 @@ def _items_read_back(out: bytes, start: int, stop: int, items: list) -> bool:
     return done == len(items)
 
 
-def _spelled_as_repr(values: np.ndarray) -> bool:
-    """Whether orjson spells each of ``values`` as ``repr`` does: none is
-    nonzero with an absolute value below 1e-4 or of 1e16 and more."""
-    size = np.abs(values)
-    return not ((size >= 1e16) | ((size < 1e-4) & (size != 0))).any()
-
-
-def _reads_back(out: bytes, obj) -> list[tuple[int, int]] | None:
-    """The spans of orjson's indented ``out`` of ``obj`` that hold no float
-    to respell, if ``orjson.loads(out) == obj``, and None if not.
+def _reads_back(out: bytes, obj) -> bool:
+    """Whether orjson's indented ``out`` of ``obj`` reads back equal to it.
 
     A dict is read back one entry at a time: each key must be orjson's
     spelling of it, and each value, a slice of ``out``, must read back
     equal, a list longer than ``_BLOCK`` bytes one run of items at a time.
     So at most one entry, or one run, is held parsed. A value that is a
     numpy array is not parsed: orjson writes a float64 C-contiguous array
-    of finite values as json writes its ``tolist()``, and its span holds no
-    float to respell when ``_spelled_as_repr``. Any other array fails."""
+    of finite values as json writes its ``tolist()``. Any other array
+    fails."""
     if not isinstance(obj, dict) or not obj:
-        return [] if orjson.loads(out) == obj else None
+        return bool(orjson.loads(out) == obj)
     if not (out.startswith(b"{\n  ") and out.endswith(b"\n}")):
-        return None
-    text, skipped = memoryview(out), []
+        return False
+    text = memoryview(out)
     at, last = 4, len(obj) - 1
     for n, (key, value) in enumerate(obj.items()):
         head = orjson.dumps(key) + b": "
         if not out.startswith(head, at):
-            return None
+            return False
         start = at + len(head)
         # the next entry's key is the next line indented by 2 spaces
         stop = len(out) - 2 if n == last else out.find(b',\n  "', start)
         if stop == -1:
-            return None
+            return False
         if isinstance(value, np.ndarray):
             if not (
                 value.dtype == np.float64
                 and value.flags.c_contiguous
                 and np.isfinite(value).all()
             ):
-                return None
-            if _spelled_as_repr(value):
-                skipped.append((start, stop))
+                return False
         elif isinstance(value, list) and stop - start > _BLOCK:
             if not _items_read_back(out, start, stop, value):
-                return None
+                return False
         elif orjson.loads(text[start:stop]) != value:
-            return None
+            return False
         at = stop + 4
-    return skipped
+    return True
 
 
 def _listed(value):
@@ -359,24 +349,21 @@ def _json_parts(obj) -> list:
     are not float64, C-contiguous and finite as a dict's values, or that
     compare ambiguously elsewhere. Of the kept output, only the float
     tokens orjson spells otherwise than ``repr`` are respelled with
-    ``repr``, found outside the spans that ``_reads_back`` clears."""
+    ``repr``."""
     try:
         out = orjson.dumps(obj, option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY)
-        skipped = _reads_back(out, obj) if out.isascii() and b"\x7f" not in out else None
+        kept = out.isascii() and b"\x7f" not in out and _reads_back(out, obj)
     # unencodable, or a slice not a value (JSONDecodeError is a ValueError),
     # or an array's ambiguous truth value
     except (TypeError, ValueError):
-        skipped = None
-    if skipped is None:
+        kept = False
+    if not kept:
         return [json.dumps(obj, indent=2, default=_listed).encode()]
-    marks = []
-    bounds = [0, *itertools.chain.from_iterable(skipped), len(out)]
-    for lo, hi in zip(bounds[::2], bounds[1::2]):  # the spans between those skipped
-        marks += [match.start() for match in _EXPONENT.finditer(out, lo, hi)]
-        at = out.find(b"0.0000", lo, hi)
-        while at != -1:
-            marks.append(at)
-            at = out.find(b"0.0000", at + 6, hi)
+    marks = [match.start() for match in _EXPONENT.finditer(out)]
+    at = out.find(b"0.0000")
+    while at != -1:
+        marks.append(at)
+        at = out.find(b"0.0000", at + 6)
     tokens = {}  # start -> stop of each token to respell
     for mark in marks:
         # a number ends its line, before a "," if one follows; the span of a

@@ -265,10 +265,10 @@ def run_rollout(cfg: RolloutConfig) -> RolloutTrace:
     of a frame that a later step attends as sink or tail are written once,
     into its slot of the K/V store, and its cached ``Frame`` is a view of
     the slot. The layer inputs of a frame that a later step may pick as
-    history are written into its slot of the inputs store. A picked
-    history frame whose K/V the cache does not hold is rebuilt from them
-    (``rebuild_frames``) before the step attends, and leaves the cache with
-    the step's expired frames."""
+    history are written into its slot of the inputs store. No later step
+    reads a pool frame as sink or tail, so every picked history frame is
+    rebuilt from its inputs (``rebuild_frames``) before the step attends,
+    and leaves the cache with the step's expired frames."""
     mcfg, model = cfg.memory, cfg.model
     U = mcfg.chunk_size
     stack = ToyAttentionStack(model, cfg.seed)
@@ -307,11 +307,10 @@ def run_rollout(cfg: RolloutConfig) -> RolloutTrace:
             else:
                 mem = StructuredMemory.of_regions(sink_stop, pool[:n_history], tail_start, i)
                 scored = []
-            rebuilt = [fid for fid in mem.history_ids if fid not in cache.frames]
-            if rebuilt:
-                held_inputs = inputs[:, _cached(cache.inputs, rebuilt)]
+            if mem.history_ids:
+                held_inputs = inputs[:, _cached(cache.inputs, mem.history_ids)]
                 cache.frames.update(
-                    (f.id, f) for f in rebuild_frames(rebuilt, held_inputs, U, stack)
+                    (f.id, f) for f in rebuild_frames(mem.history_ids, held_inputs, U, stack)
                 )
 
             chunk_ids = list(range(i, i + U))
@@ -333,7 +332,7 @@ def run_rollout(cfg: RolloutConfig) -> RolloutTrace:
                 cache.inputs[fid] = slot
             for fid in inputs_expired[step]:
                 del cache.inputs[fid]
-            append_and_evict(cache, new_frames, expired[step] + rebuilt)
+            append_and_evict(cache, new_frames, expired[step] + mem.history_ids)
             if plan.scored:
                 means[i : i + U] = mean_keys(new_keys, plan.cfg.scoring_layer)
 

@@ -11,10 +11,10 @@ position * rotary_base^(-2j/head_dim), both read from ``ModelParams``. A
 rollout rotates by one complex multiply: the pair is read as the complex
 number ``v[2j] + i·v[2j+1]`` and multiplied by the phase ``cos + i·sin`` of
 its angle, one phase row per frame position (``rotation_phases``, built once
-per run and sliced per step, ``rotate_by_phases``). ``rotation_tables`` and
-``rotate_tokens`` compute the same rotation from real per-token tables, bit
-for bit as the pair formulas; they are the reference the complex form is
-checked against, to a few ulps.
+per run and sliced per step, ``rotate_by_phases``). ``rotate_tokens``
+computes the same rotation from real per-token cos and sin tables, bit for
+bit as the pair formulas; it is the reference the complex form is checked
+against, to a few ulps.
 """
 
 from __future__ import annotations
@@ -97,23 +97,10 @@ def _angles(positions, params: ModelParams) -> np.ndarray:
     return np.asarray(positions, dtype=np.float64)[:, None] * inv_freq
 
 
-def rotation_tables(
-    positions: list[int], repeats: int, heads: int, params: ModelParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of position * base^(-2j/dim), computed once per position and
-    repeated into contiguous (len(positions) * repeats, heads, dim // 2) tables."""
-    half = params.head_dim // 2
-    theta = _angles(positions, params)
-    shape = (len(theta), repeats, heads, half)
-    return tuple(
-        np.broadcast_to(t[:, None, None, :], shape).copy().reshape(-1, heads, half)
-        for t in (np.cos(theta), np.sin(theta))
-    )
-
-
 def rotate_tokens(vecs: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Rotary rotation of vecs (..., tokens, heads, dim) by the tables of
-    rotation_tables, which match vecs' last three axes."""
+    """Rotary rotation of vecs (..., tokens, heads, dim) by cos and sin
+    tables of the pair angles, (tokens, heads, dim // 2) to match vecs' last
+    three axes."""
     vecs = np.asarray(vecs, dtype=np.float64)
     even, odd = vecs[..., 0::2], vecs[..., 1::2]
     out = np.empty_like(vecs)
@@ -123,8 +110,7 @@ def rotate_tokens(vecs: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndar
 
 
 def rotation_phases(positions, params: ModelParams) -> np.ndarray:
-    """``cos + i·sin`` of the angles of ``rotation_tables``, one row per
-    position, shaped (len(positions), 1, 1, dim // 2) to broadcast over a
+    """``cos + i·sin`` of position * base^(-2j/dim), one row per position, shaped (len(positions), 1, 1, dim // 2) to broadcast over a
     frame's tokens and heads."""
     theta = _angles(positions, params)
     phases = np.empty(theta.shape, dtype=np.complex128)

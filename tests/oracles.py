@@ -1,11 +1,14 @@
 """Per-frame selection references: prototypes and scores recomputed from a
 frame's own keys. ``select_memory`` scores from the run's mean-key rows
-instead, and the tests check it against these bit for bit."""
+instead, and the tests check it against these bit for bit. Also the real
+per-token rotary tables that ``rope.rotate_tokens`` rotates by."""
 
 import numpy as np
 
+from relaxkv.config import ModelParams
 from relaxkv.errors import ContractViolationError, RelaxKVError
 from relaxkv.memory import Frame, ScoredCandidate, _normalize
+from relaxkv.rope import _angles
 
 
 class EmptyGroupError(RelaxKVError):
@@ -54,4 +57,18 @@ def score_candidate(
         stability=stability,
         redundancy=redundancy,
         relaxation=stability - lam * redundancy,
+    )
+
+
+def rotation_tables(
+    positions: list[int], repeats: int, heads: int, params: ModelParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of position * base^(-2j/dim), computed once per position and
+    repeated into contiguous (len(positions) * repeats, heads, dim // 2) tables."""
+    half = params.head_dim // 2
+    theta = _angles(positions, params)
+    shape = (len(theta), repeats, heads, half)
+    return tuple(
+        np.broadcast_to(t[:, None, None, :], shape).copy().reshape(-1, heads, half)
+        for t in (np.cos(theta), np.sin(theta))
     )

@@ -469,15 +469,6 @@ class TestRetentionProperty:
         assert audit_history_compliance(trace) == []
 
 
-def resident_kv(cfg, step):
-    """The frames the K/V store's schedule holds while ``step`` attends."""
-    U = cfg.memory.chunk_size
-    plan = memory_plan(cfg.memory, np.arange(0, cfg.total_frames, U))
-    expired = eviction_schedule(plan)[0]
-    held = {f for ids in expired for f in ids}
-    return held & set(range(step * U)) - {f for ids in expired[:step] for f in ids}
-
-
 class TestSlotReuseProperty:
     @settings(max_examples=150, deadline=None)
     @given(rollout_configs())
@@ -500,11 +491,15 @@ class TestSlotReuseProperty:
         """A frame's slot is reused once the frame is evicted, and every step
         still attends, bit for bit, each memory frame's keys and values as
         the chunk that generated it returned them, whether read from the K/V
-        store or rebuilt from the inputs store. A step rebuilds exactly its
-        history frames that the K/V store does not hold."""
+        store or rebuilt from the inputs store. Each step rebuilds all of its
+        history frames, none of which the cache holds when it rebuilds."""
         U = cfg.memory.chunk_size
         produced = {}  # frame id -> copies of its keys and values
-        steps, rebuilt = [], []
+        steps, rebuilt, caches = [], [], []
+
+        def caching():
+            caches.append(KVCache())
+            return caches[-1]
 
         def attending(hidden, mem, phases, cache, stack):
             for fid in mem.all_ids:
@@ -520,19 +515,19 @@ class TestSlotReuseProperty:
             return result
 
         def rebuilding(ids, inputs, chunk, stack):
+            assert not caches[0].frames.keys() & ids
             rebuilt.append((len(steps), list(ids)))
             return rebuild_frames(ids, inputs, chunk, stack)
 
         with mock.patch.object(rollout_module, "attend_chunk", attending), \
-                mock.patch.object(rollout_module, "rebuild_frames", rebuilding):
+                mock.patch.object(rollout_module, "rebuild_frames", rebuilding), \
+                mock.patch.object(rollout_module, "KVCache", caching):
             trace = run_rollout(cfg)
         assert steps == [len(rec.memory) for rec in trace.records]
-        expected = [
-            (step, missing) for step, rec in enumerate(trace.records)
-            if (missing := [f for f in rec.memory.history_ids
-                            if f not in resident_kv(cfg, step)])
+        assert rebuilt == [
+            (step, rec.memory.history_ids)
+            for step, rec in enumerate(trace.records) if rec.memory.history_ids
         ]
-        assert rebuilt == expected
 
 
 class TestProfileProperty:

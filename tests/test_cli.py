@@ -701,3 +701,21 @@ def test_relaxed_rollout_call_memory_peaks_in_the_run(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert peaks["run"] <= 12e6
     assert peaks["report"] < peaks["run"]
+
+
+def test_long_profile_json_reads_its_rows_back_in_blocks(tmp_path):
+    """A 12,000-frame relaxed ``profile --format json`` call reads its rows
+    back one block of items at a time (``cli._items_read_back``): its traced
+    peak stays at most 4 MB, where parsing the whole list at once would
+    take about 4.5 to 5 MB."""
+    args = ["profile", "--format", "json", "--seed", "1",
+            "--set", "rollout.total_frames=12000", "--set", "memory.policy=relaxed"]
+    # a first call imports and builds what every later call shares
+    assert main([*args, "--out", str(tmp_path / "warm")]) == 0
+    tracemalloc.start()
+    try:
+        assert main([*args, "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6

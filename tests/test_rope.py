@@ -14,7 +14,9 @@ from relaxkv.errors import (
     InvalidStepError,
     WindowOverflowError,
 )
-from relaxkv.rope import rotate_by_phases, rotate_tokens, rotation_phases, rotation_tables
+from relaxkv.rope import rotate_by_phases, rotate_tokens, rotation_phases
+
+from oracles import rotation_tables
 
 
 class TestRelaxedPositions:
